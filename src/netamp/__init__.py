@@ -17,7 +17,7 @@ from .priors import (PriorSpec, QuadratureRule, ScalarChannelParams,
                      joint_atoms, mmse1, mmse2, scalar_mi, spike_slab)
 from .synth import (Dataset, ModelParams, ap_to_snr, centered_adjacency_apply,
                     gaussian_surrogate, generate, load_dataset, save_dataset,
-                    snr_to_ap)
+                    snr_to_ap, with_delta)
 from .state_evolution import SeFixedPoint, SeTrace, fixed_point, predicted_errors, se_run
 from .amp import AmpConfig, AmpResult, onsager_average, run
 from .rs_potential import OptimalityReport, RsEvaluation, minimize, optimality_check, rs_value
@@ -32,6 +32,7 @@ __all__ = [
     "scalar_mi", "spike_slab",
     "Dataset", "ModelParams", "ap_to_snr", "centered_adjacency_apply",
     "gaussian_surrogate", "generate", "load_dataset", "save_dataset", "snr_to_ap",
+    "with_delta",
     "SeFixedPoint", "SeTrace", "fixed_point", "predicted_errors", "se_run",
     "AmpConfig", "AmpResult", "onsager_average", "run",
     "OptimalityReport", "RsEvaluation", "minimize", "optimality_check", "rs_value",

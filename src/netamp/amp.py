@@ -176,7 +176,6 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
     beta = np.full(p, prior.mean_b())
     z_prev = np.zeros(n)
     b_prev = np.zeros(p)           # placeholder; ignored while tau is absent
-    sigma_prev = np.zeros(p)
     r_prev = np.zeros(p)
     gamma = config.damping
 
@@ -220,7 +219,7 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
             beta_next = gamma * beta_next + (1 - gamma) * beta
             z = gamma * z + (1 - gamma) * z_prev
 
-        sigma_prev, sigma = sigma, sigma_next
+        sigma = sigma_next
         r_prev = r
         beta = beta_next
         z_prev = z

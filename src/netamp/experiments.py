@@ -13,11 +13,12 @@ scale (n = p = 2000, 20 replicates by default; override via a config file).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .laplacian import LapConfig, fit, tune
 from .priors import PriorSpec, QuadratureRule
 from .rs_potential import minimize
 from .state_evolution import fixed_point, predicted_errors, se_run
-from .synth import ModelParams, generate
+from .synth import ModelParams, generate, with_delta
 
 __all__ = ["ExperimentSpec", "run_experiment", "builtin_spec", "BUILTIN_NAMES",
            "load_spec_file"]
@@ -93,52 +94,53 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 # built-in specs
 
+_FIVE = (-2.0, -1.0, 0.0, 1.0, 2.0)
+_FIG2_DELTAS = tuple(np.linspace(0.2, 4.0, 20).round(12))
+
+_BUILTIN_SPECS = {
+    "smoke": ExperimentSpec(
+        name="smoke", pipelines=("amp", "se", "fdr", "coverage", "baseline"),
+        n=200, p=200, rho=0.3, b_p=20.0, lambdas=(3.0,), deltas=(1.0,),
+        replicates=1, T=10),
+    "figure1a": ExperimentSpec(
+        name="figure1a", pipelines=("mi",), rho=0.4, slab=_FIVE,
+        kappa_mi=1.5, lambdas=(0.0, 1.0, 2.0, 3.0),
+        deltas=(0.5, 1.0, 2.0, 4.0), replicates=1),
+    "figure1b": ExperimentSpec(
+        name="figure1b", pipelines=("mi",), rho=0.4, slab=_FIVE,
+        kappa_mi=1.5, lambdas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        deltas=(0.5, 1.0, 2.0), replicates=1),
+    "figure2a": ExperimentSpec(
+        name="figure2a", pipelines=("amp", "baseline", "se"),
+        lambdas=(3.0,), deltas=_FIG2_DELTAS),
+    "figure2b": ExperimentSpec(
+        name="figure2b", pipelines=("amp", "baseline", "se"),
+        lambdas=(5.0,), deltas=_FIG2_DELTAS),
+    "figure3": ExperimentSpec(
+        name="figure3", pipelines=("amp", "baseline", "se"), design="bernoulli",
+        lambdas=(3.0, 5.0), deltas=_FIG2_DELTAS),
+    "table1-amp": ExperimentSpec(
+        name="table1-amp", pipelines=("fdr",), n=3000, p=3000, rho=0.07,
+        b_p=1500.0, lambdas=(5.0, 10.0),
+        deltas=(0.5, 1.05, 1.79, 2.52, 3.26, 4.0)),
+    "fdr-calibration": ExperimentSpec(
+        name="fdr-calibration", pipelines=("fdr",), n=3000, p=3000,
+        rho=0.07, b_p=1500.0, lambdas=(5.0,), deltas=(1.0,), replicates=60),
+    "coverage-calibration": ExperimentSpec(
+        name="coverage-calibration", pipelines=("coverage",), n=3000, p=3000,
+        rho=0.07, b_p=1500.0, lambdas=(5.0,), deltas=(1.0,), replicates=20),
+    "universality-check": ExperimentSpec(
+        name="universality-check", pipelines=("universality",),
+        b_p=200.0, lambdas=(3.0,), deltas=(1.0,), replicates=8),
+}
+
+BUILTIN_NAMES = tuple(_BUILTIN_SPECS)
+
+
 def builtin_spec(name: str) -> ExperimentSpec:
-    five = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    table = {
-        "smoke": ExperimentSpec(
-            name="smoke", pipelines=("amp", "se", "fdr", "coverage", "baseline"),
-            n=200, p=200, rho=0.3, b_p=20.0, lambdas=(3.0,), deltas=(1.0,),
-            replicates=1, T=10),
-        "figure1a": ExperimentSpec(
-            name="figure1a", pipelines=("mi",), rho=0.4, slab=five,
-            kappa_mi=1.5, lambdas=(0.0, 1.0, 2.0, 3.0),
-            deltas=(0.5, 1.0, 2.0, 4.0), replicates=1),
-        "figure1b": ExperimentSpec(
-            name="figure1b", pipelines=("mi",), rho=0.4, slab=five,
-            kappa_mi=1.5, lambdas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-            deltas=(0.5, 1.0, 2.0), replicates=1),
-        "figure2a": ExperimentSpec(
-            name="figure2a", pipelines=("amp", "baseline", "se"),
-            lambdas=(3.0,), deltas=tuple(np.linspace(0.2, 4.0, 20).round(12))),
-        "figure2b": ExperimentSpec(
-            name="figure2b", pipelines=("amp", "baseline", "se"),
-            lambdas=(5.0,), deltas=tuple(np.linspace(0.2, 4.0, 20).round(12))),
-        "figure3": ExperimentSpec(
-            name="figure3", pipelines=("amp", "baseline", "se"), design="bernoulli",
-            lambdas=(3.0, 5.0), deltas=tuple(np.linspace(0.2, 4.0, 20).round(12))),
-        "table1-amp": ExperimentSpec(
-            name="table1-amp", pipelines=("fdr",), n=3000, p=3000, rho=0.07,
-            b_p=1500.0, lambdas=(5.0, 10.0),
-            deltas=(0.5, 1.05, 1.79, 2.52, 3.26, 4.0)),
-        "fdr-calibration": ExperimentSpec(
-            name="fdr-calibration", pipelines=("fdr",), n=3000, p=3000,
-            rho=0.07, b_p=1500.0, lambdas=(5.0,), deltas=(1.0,), replicates=60),
-        "coverage-calibration": ExperimentSpec(
-            name="coverage-calibration", pipelines=("coverage",), n=3000, p=3000,
-            rho=0.07, b_p=1500.0, lambdas=(5.0,), deltas=(1.0,), replicates=20),
-        "universality-check": ExperimentSpec(
-            name="universality-check", pipelines=("universality",),
-            b_p=200.0, lambdas=(3.0,), deltas=(1.0,), replicates=8),
-    }
-    if name not in table:
-        raise ValueError(f"unknown built-in spec {name!r}; have {sorted(table)}")
-    return table[name]
-
-
-BUILTIN_NAMES = ("smoke", "figure1a", "figure1b", "figure2a", "figure2b",
-                 "figure3", "table1-amp", "fdr-calibration",
-                 "coverage-calibration", "universality-check")
+    if name not in _BUILTIN_SPECS:
+        raise ValueError(f"unknown built-in spec {name!r}; have {sorted(_BUILTIN_SPECS)}")
+    return _BUILTIN_SPECS[name]
 
 
 def load_spec_file(path: str) -> ExperimentSpec:
@@ -245,7 +247,12 @@ def _aggregate(sink: CsvSink, group_cols: list[str], value_cols: list[str],
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (top level so a process pool can pickle them)
+# replicate jobs (top level so a process pool can pickle them)
+
+# pipelines with one unit per (lambda, Delta, seed), in CSV and trailer order
+REPLICATE_PIPELINES = ("amp", "baseline", "fdr", "coverage", "universality")
+# pipelines that read the one sbm-mode AMP run of their (lambda, Delta, seed)
+AMP_PIPELINES = ("amp", "fdr", "coverage", "universality")
 
 
 def _make_params(spec: ExperimentSpec, lam: float, delta: float) -> ModelParams:
@@ -254,88 +261,110 @@ def _make_params(spec: ExperimentSpec, lam: float, delta: float) -> ModelParams:
                                 design_dist=spec.design)
 
 
-def _amp_replicate(args):
-    spec, lam, delta, seed, trace, matrix_mode = args
-    params = _make_params(spec, lam, delta)
-    ds = generate(params, seed)
-    res = run(ds, spec.prior(), params, AmpConfig(T=spec.T, matrix_mode=matrix_mode),
-              se_trace=trace)
-    return (seed, float(res.overlap[spec.T]), float(res.mse_beta[spec.T]),
+def _amp_row(spec, ds, res, trace):
+    return (float(res.overlap[spec.T]), float(res.mse_beta[spec.T]),
             float(res.pred_error[spec.T]))
 
 
-def _fdr_replicate(args):
-    spec, lam, delta, seed, trace = args
-    params = _make_params(spec, lam, delta)
-    ds = generate(params, seed)
-    res = run(ds, spec.prior(), params, AmpConfig(T=spec.T), se_trace=trace)
+def _fdr_row(spec, ds, res, trace):
     pv = pvalues(res.sigma_iter, float(trace.nu[spec.T]))
     d = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0)
     # textbook step-up threshold recorded alongside for comparison
     d_up = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0, variant="step-up")
-    return (seed, d.empirical_fdp, d.empirical_tdp, len(d.rejected),
+    return (d.empirical_fdp, d.empirical_tdp, len(d.rejected),
             d_up.empirical_fdp, d_up.empirical_tdp)
 
 
-def _coverage_replicate(args):
-    spec, lam, delta, seed, trace = args
-    params = _make_params(spec, lam, delta)
-    ds = generate(params, seed)
-    res = run(ds, spec.prior(), params, AmpConfig(T=spec.T), se_trace=trace)
+def _coverage_row(spec, ds, res, trace):
     ci = credible_intervals(res.sigma_iter, float(trace.eta[spec.T]),
                             float(trace.nu[spec.T]), spec.alpha, truth=ds.sigma0)
-    return (seed, ci.empirical_coverage)
+    return (ci.empirical_coverage,)
 
 
-def _baseline_replicate(args):
-    spec, lam, delta, seed, cfg = args
-    params = _make_params(spec, lam, delta)
-    ds = generate(params, seed)
+def _universality_row(spec, ds, res, trace):
+    sur = run(ds, spec.prior(), ds.params,
+              AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
+                        record_history=False), se_trace=trace)
+    return (float(res.overlap[spec.T]), float(sur.overlap[spec.T]))
+
+
+def _baseline_row(spec, ds, cfg):
     res = fit(ds, cfg)
     r = ds.Phi @ (res.beta - ds.beta0)
-    return (seed, float(r @ r) / spec.n, res.converged)
+    return (float(r @ r) / spec.n, res.converged)
 
 
-def _universality_replicate(args):
-    spec, lam, delta, seed, trace = args
-    params = _make_params(spec, lam, delta)
-    ds = generate(params, seed)
-    o = {}
-    for mode in ("sbm", "gaussian-surrogate"):
-        res = run(ds, spec.prior(), params, AmpConfig(T=spec.T, matrix_mode=mode),
-                  se_trace=trace)
-        o[mode] = float(res.overlap[spec.T])
-    return (seed, o["sbm"], o["gaussian-surrogate"])
+_AMP_ROWS = {"amp": _amp_row, "fdr": _fdr_row, "coverage": _coverage_row,
+             "universality": _universality_row}
+
+
+def _failure(exc: Exception) -> tuple[str, str]:
+    return ("err", f"{type(exc).__name__}: {exc}")
+
+
+def _attempt(fn, *args, **kwargs) -> tuple[str, object]:
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:          # replicate failures are recorded, not fatal
+        return _failure(exc)
+
+
+def _replicate_job(args) -> dict:
+    """Every (pipeline, Delta) unit of one (lambda, seed).
+
+    One draw at the first Delta, re-noised for each other Delta, and one
+    sbm-mode run per Delta shared by the AMP pipelines.  Returns
+    {(pipeline, Delta): ("ok", row) | ("err", message)}; a failed draw or run
+    is reported on every unit that needed it.  ``cfgs`` maps Delta to the
+    tuned baseline config, or to None where tuning failed.
+    """
+    spec, lam, seed, traces, cfgs = args
+    pls = [pl for pl in REPLICATE_PIPELINES if pl in spec.pipelines]
+    amp_pls = [pl for pl in pls if pl in AMP_PIPELINES]
+    units: dict = {}
+    try:
+        base = generate(_make_params(spec, lam, spec.deltas[0]), seed)
+    except Exception as exc:
+        return {(pl, delta): _failure(exc) for pl in pls for delta in spec.deltas}
+    for delta in spec.deltas:
+        try:
+            ds = base if delta == base.params.Delta else with_delta(base, delta)
+        except Exception as exc:
+            units.update({(pl, delta): _failure(exc) for pl in pls})
+            continue
+        if "baseline" in pls and cfgs[delta] is not None:
+            units[("baseline", delta)] = _attempt(_baseline_row, spec, ds, cfgs[delta])
+        if not amp_pls:
+            continue
+        trace = traces[delta]
+        ran = _attempt(run, ds, spec.prior(), ds.params,
+                       AmpConfig(T=spec.T, record_history=False), se_trace=trace)
+        for pl in amp_pls:
+            units[(pl, delta)] = (ran if ran[0] == "err" else
+                                  _attempt(_AMP_ROWS[pl], spec, ds, ran[1], trace))
+    return units
+
+
+def _tune_job(args) -> LapConfig:
+    spec, lam, delta = args
+    tune_ds = generate(_make_params(spec, lam, delta), spec.base_seed + spec.replicates)
+    return tune(tune_ds, _lap_grid(tune_ds), seed=spec.base_seed)
 
 
 class ReplicateFailures(RuntimeError):
     """Raised after writing outputs when too many replicates failed."""
 
 
-def _run_safe(job):
-    worker, args = job
-    try:
-        return ("ok", worker(args))
-    except Exception as exc:          # replicate failures are recorded, not fatal
-        return ("err", args[3], f"{type(exc).__name__}: {exc}")
+class _InProcess:
+    """Executor stand-in that runs each job when it is submitted."""
 
-
-def _map(worker, jobs, threads: int, stats: dict):
-    """Run jobs, splitting results from per-replicate failures."""
-    wrapped = [(worker, j) for j in jobs]
-    stats["total"] += len(jobs)
-    if threads <= 1 or len(jobs) <= 1:
-        raw = [_run_safe(w) for w in wrapped]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            raw = list(ex.map(_run_safe, wrapped))
-    out = []
-    for status in raw:
-        if status[0] == "ok":
-            out.append(status[1])
-        else:
-            stats["failures"].append((status[1], status[2]))
-    return out
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 def _lap_grid(dataset) -> list[LapConfig]:
@@ -353,7 +382,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
     """Run all pipelines of a spec; returns {pipeline: csv path}.
 
     Replicate seeds are base_seed + replicate index, identical across
-    pipelines so estimators and baselines face the same datasets.
+    pipelines so estimators and baselines face the same datasets.  Each
+    (lambda, seed) is one job: one draw, re-noised for each other Delta, and
+    one AMP run per Delta that every AMP pipeline reads.  The baseline's tuning
+    runs first, one job per (lambda, Delta).  With threads > 1 all jobs share
+    one process pool; otherwise they run in this process.
     """
     quad = QuadratureRule.gauss_hermite(spec.quad_order)
     prior = spec.prior()
@@ -363,22 +396,29 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
             "spec": dataclasses.asdict(spec)}
     say = progress if progress is not None else (lambda s: None)
     written: dict[str, str] = {}
-    stats = {"total": 0, "failures": []}    # replicate-level failure accounting
 
     traces = {}
-    if any(pl in spec.pipelines for pl in ("amp", "fdr", "coverage", "universality", "se")):
+    if any(pl in spec.pipelines for pl in AMP_PIPELINES + ("se",)):
         for lam in spec.lambdas:
             for delta in spec.deltas:
                 say(f"state evolution lam={lam} Delta={delta}")
                 traces[(lam, delta)] = se_run(prior, lam, kappa, delta,
                                               T=spec.T + 1, quad=quad)
 
+    fixed_points = {}
+
+    def fp_at(lam, delta):
+        """fixed_point at (lam, Delta), computed once for all pipelines."""
+        if (lam, delta) not in fixed_points:
+            fixed_points[(lam, delta)] = fixed_point(prior, lam, kappa, delta, quad=quad)
+        return fixed_points[(lam, delta)]
+
     if "se" in spec.pipelines:
         sink = CsvSink(os.path.join(out_dir, f"{spec.name}_se.csv"),
                        ["lambda", "Delta", "t", "eta", "nu", "tau", "mu", "xi",
                         "mu_star", "xi_star", "residual"], meta, overwrite)
         for (lam, delta), tr in traces.items():
-            fp = fixed_point(prior, lam, kappa, delta, quad=quad)
+            fp = fp_at(lam, delta)
             for t in range(len(tr)):
                 sink.add(**{"lambda": lam, "Delta": delta, "t": t,
                             "eta": float(tr.eta[t]), "nu": float(tr.nu[t]),
@@ -398,7 +438,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
             for delta in spec.deltas:
                 say(f"mi lam={lam} Delta={delta}")
                 ev = minimize(prior, lam, kappa, delta, quad=quad)
-                fp = fixed_point(prior, lam, kappa, delta, quad=quad)
+                fp = fp_at(lam, delta)
                 coincide = (abs(fp.mu_star - ev.mu_bar) <= 1e-4
                             and abs(fp.xi_star - ev.xi_bar) <= 1e-4)
                 sink.add(**{"lambda": lam, "Delta": delta, "mu_bar": ev.mu_bar,
@@ -408,6 +448,43 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
         sink.write()
         written["mi"] = sink.path
 
+    pls = [pl for pl in REPLICATE_PIPELINES if pl in spec.pipelines]
+    tune_keys = ([(lam, delta) for lam in spec.lambdas for delta in spec.deltas]
+                 if "baseline" in pls else [])
+    job_keys = [(lam, seed) for lam in spec.lambdas for seed in seeds] if pls else []
+    workers = min(threads, max(len(tune_keys), len(job_keys)))
+    with (ProcessPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext(_InProcess())) as pool:
+        tuned = {}
+        for lam, delta in tune_keys:
+            say(f"baseline tuning lam={lam} Delta={delta}")
+            tuned[(lam, delta)] = pool.submit(_tune_job, (spec, lam, delta))
+        # a failed tune is raised where the baseline CSV reaches it
+        cfgs = {key: None if fut.exception() else fut.result()
+                for key, fut in tuned.items()}
+        jobs = {}
+        for lam, seed in job_keys:
+            say(f"replicate lam={lam} seed={seed}")
+            jobs[(lam, seed)] = pool.submit(_replicate_job, (
+                spec, lam, seed, {d: traces.get((lam, d)) for d in spec.deltas},
+                {d: cfgs.get((lam, d)) for d in spec.deltas}))
+        units = {(pl, lam, delta, seed): outcome
+                 for (lam, seed), fut in jobs.items()
+                 for (pl, delta), outcome in fut.result().items()}
+
+    failures: list[tuple[int, str]] = []    # (seed, message) per failed unit
+
+    def replicates(pl, lam, delta):
+        """(seed, row) of the group's successful units; records the failed ones."""
+        ok = []
+        for seed in seeds:
+            status, value = units[(pl, lam, delta, seed)]
+            if status == "ok":
+                ok.append((seed, value))
+            else:
+                failures.append((seed, value))
+        return ok
+
     if "amp" in spec.pipelines:
         sink = CsvSink(os.path.join(out_dir, f"{spec.name}_amp.csv"),
                        ["lambda", "Delta", "replicate", "overlap", "mse_beta",
@@ -415,13 +492,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
                        meta, overwrite)
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                say(f"amp lam={lam} Delta={delta}")
                 tr = traces[(lam, delta)]
-                fp = fixed_point(prior, lam, kappa, delta, quad=quad)
-                _, beta_pred = predicted_errors(fp, prior, lam, delta)
+                _, beta_pred = predicted_errors(fp_at(lam, delta), prior, lam, delta)
                 ov_pred = float(tr.nu[spec.T + 1] ** 2)
-                jobs = [(spec, lam, delta, s, tr, "sbm") for s in seeds]
-                for seed, ov, mb, pe in _map(_amp_replicate, jobs, threads, stats):
+                for seed, (ov, mb, pe) in replicates("amp", lam, delta):
                     sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
                                 "overlap": ov, "mse_beta": mb, "pred_error": pe,
                                 "se_overlap_pred": ov_pred,
@@ -436,12 +510,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
                         "lambda2", "converged"], meta, overwrite)
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                say(f"baseline lam={lam} Delta={delta}")
-                params = _make_params(spec, lam, delta)
-                tune_ds = generate(params, spec.base_seed + spec.replicates)
-                cfg = tune(tune_ds, _lap_grid(tune_ds), seed=spec.base_seed)
-                jobs = [(spec, lam, delta, s, cfg) for s in seeds]
-                for seed, pe, conv in _map(_baseline_replicate, jobs, threads, stats):
+                cfg = tuned[(lam, delta)].result()
+                for seed, (pe, conv) in replicates("baseline", lam, delta):
                     sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
                                 "pred_error": pe, "lambda1": cfg.lambda1,
                                 "lambda2": cfg.lambda2, "converged": int(conv)})
@@ -455,10 +525,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
                         "n_rejected", "fdp_stepup", "tdp_stepup"], meta, overwrite)
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                say(f"fdr lam={lam} Delta={delta}")
-                tr = traces[(lam, delta)]
-                jobs = [(spec, lam, delta, s, tr) for s in seeds]
-                for seed, fdp, tdp, nrej, fdp_up, tdp_up in _map(_fdr_replicate, jobs, threads, stats):
+                for seed, (fdp, tdp, nrej, fdp_up, tdp_up) in replicates("fdr", lam, delta):
                     sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
                                 "alpha": spec.alpha, "fdp": fdp, "tdp": tdp,
                                 "n_rejected": nrej, "fdp_stepup": fdp_up,
@@ -474,10 +541,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
                        meta, overwrite)
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                say(f"coverage lam={lam} Delta={delta}")
-                tr = traces[(lam, delta)]
-                jobs = [(spec, lam, delta, s, tr) for s in seeds]
-                for seed, cov in _map(_coverage_replicate, jobs, threads, stats):
+                for seed, (cov,) in replicates("coverage", lam, delta):
                     sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
                                 "alpha": spec.alpha, "coverage": cov})
         _aggregate(sink, ["lambda", "Delta"], ["coverage"])
@@ -490,10 +554,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
                         "overlap_surrogate", "gap"], meta, overwrite)
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                say(f"universality lam={lam} Delta={delta}")
-                tr = traces[(lam, delta)]
-                jobs = [(spec, lam, delta, s, tr) for s in seeds]
-                for seed, o_sbm, o_sur in _map(_universality_replicate, jobs, threads, stats):
+                for seed, (o_sbm, o_sur) in replicates("universality", lam, delta):
                     sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
                                 "overlap_sbm": o_sbm, "overlap_surrogate": o_sur,
                                 "gap": abs(o_sbm - o_sur)})
@@ -502,13 +563,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
         sink.write()
         written["universality"] = sink.path
 
-    if stats["failures"]:
-        note = ";".join(f"{s}:{m}" for s, m in stats["failures"])
+    if failures:
+        total = len(pls) * len(spec.lambdas) * len(spec.deltas) * len(seeds)
+        note = ";".join(f"{s}:{m}" for s, m in failures)
         for path in written.values():
             with open(path, "a") as fh:
                 fh.write(f"# failed_replicates = {note}\n")
-        if len(stats["failures"]) > 0.1 * max(stats["total"], 1):
+        if len(failures) > 0.1 * max(total, 1):
             raise ReplicateFailures(
-                f"{len(stats['failures'])} of {stats['total']} replicate jobs "
-                f"failed: {note}")
+                f"{len(failures)} of {total} replicate jobs failed: {note}")
     return written

@@ -17,6 +17,7 @@ bit-for-bit from (params, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ __all__ = [
     "snr_to_ap",
     "ap_to_snr",
     "generate",
+    "with_delta",
     "centered_adjacency_apply",
     "centered_adjacency_dense",
     "gaussian_surrogate",
@@ -175,23 +177,39 @@ def _sample_graph(rng: np.random.Generator, sigma0: np.ndarray,
     return (upper + upper.T).tocsr()
 
 
+def _responses(Phi: np.ndarray, beta0: np.ndarray, seed: int, Delta: float) -> np.ndarray:
+    """y = Phi beta0 + eps with eps ~ N(0, Delta) from the seed's noise stream."""
+    rng_noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[_STREAM_NOISE])
+    eps = rng_noise.standard_normal(Phi.shape[0]) * math.sqrt(Delta)
+    return Phi @ beta0 + eps
+
+
 def generate(params: ModelParams, seed: int) -> Dataset:
     """Draw one dataset; deterministic given (params, seed)."""
     streams = np.random.SeedSequence(seed).spawn(5)
     rng_lat = np.random.default_rng(streams[_STREAM_LATENTS])
     rng_des = np.random.default_rng(streams[_STREAM_DESIGN])
-    rng_noise = np.random.default_rng(streams[_STREAM_NOISE])
     rng_graph = np.random.default_rng(streams[_STREAM_GRAPH])
 
     p, n = params.p, params.n
     sigma0 = (rng_lat.random(p) < params.prior.rho).astype(float)
     beta0 = _sample_beta(rng_lat, sigma0, params.prior)
     Phi = _sample_design(rng_des, n, p, params.design_dist)
-    eps = rng_noise.standard_normal(n) * math.sqrt(params.Delta)
-    y = Phi @ beta0 + eps
+    y = _responses(Phi, beta0, seed, params.Delta)
     adj = _sample_graph(rng_graph, sigma0, params.a_p, params.b_p)
     return Dataset(params=params, seed=seed, sigma0=sigma0, beta0=beta0,
                    Phi=Phi, y=y, adjacency=adj)
+
+
+def with_delta(dataset: Dataset, Delta: float) -> Dataset:
+    """The same draw at noise level Delta: equal to generate(params at Delta, seed).
+
+    Only the noise stream is redrawn; Phi, the graph, sigma0 and beta0 are
+    the base draw's own arrays, shared rather than copied.
+    """
+    params = dataclasses.replace(dataset.params, Delta=Delta)
+    y = _responses(dataset.Phi, dataset.beta0, dataset.seed, Delta)
+    return dataclasses.replace(dataset, params=params, y=y)
 
 
 def centered_adjacency_apply(dataset: Dataset, v: np.ndarray) -> np.ndarray:

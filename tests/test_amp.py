@@ -131,6 +131,8 @@ class TestBehavior:
         assert np.isfinite(res.overlap[4])
         full = run(ds, prior, params, AmpConfig(T=4), se_trace=trace)
         assert res.overlap[4] == full.overlap[4]
+        assert res.mse_beta[4] == full.mse_beta[4]
+        assert res.pred_error[4] == full.pred_error[4]
 
     def test_damping_runs(self, small_setup):
         prior, params, ds, trace = small_setup

@@ -71,12 +71,30 @@ class TestSmokeSpec:
         assert se == pytest.approx(np.std(data, ddof=1) / np.sqrt(len(data)), abs=1e-12)
 
     def test_threads_match_serial(self, tmp_path):
-        spec = ExperimentSpec(name="par", pipelines=("amp",), n=120, p=120,
-                              rho=0.3, b_p=12.0, lambdas=(2.0,), deltas=(1.0,),
-                              replicates=4, T=5)
-        p1 = run_experiment(spec, str(tmp_path / "serial"), threads=1)
-        p2 = run_experiment(spec, str(tmp_path / "pool"), threads=3)
-        assert strip_timestamp(p1["amp"]) == strip_timestamp(p2["amp"])
+        common = dict(n=120, p=120, rho=0.3, b_p=12.0, lambdas=(2.0,),
+                      replicates=4, T=5)
+        specs = [ExperimentSpec(name="par", pipelines=("amp",), deltas=(1.0,), **common),
+                 ExperimentSpec(name="shared", pipelines=("amp", "fdr", "coverage", "baseline"),
+                                deltas=(0.5, 2.0), **common)]
+        for spec in specs:
+            p1 = run_experiment(spec, str(tmp_path / spec.name / "serial"), threads=1)
+            p2 = run_experiment(spec, str(tmp_path / spec.name / "pool"), threads=3)
+            assert set(p1) == set(p2) == set(spec.pipelines)
+            for key in p1:
+                assert strip_timestamp(p1[key]) == strip_timestamp(p2[key])
+
+    def test_fdr_rows_independent_of_other_pipelines(self, tmp_path):
+        common = dict(n=120, p=120, rho=0.3, b_p=12.0, lambdas=(2.0,),
+                      deltas=(0.5, 2.0), replicates=3, T=5)
+        both = run_experiment(ExperimentSpec(name="both", pipelines=("amp", "fdr"), **common),
+                              str(tmp_path / "both"))
+        alone = run_experiment(ExperimentSpec(name="alone", pipelines=("fdr",), **common),
+                               str(tmp_path / "alone"))
+        _, header_b, rows_b = read_csv(both["fdr"])
+        _, header_a, rows_a = read_csv(alone["fdr"])
+        assert header_b == header_a
+        assert rows_b == rows_a
+        assert len(rows_a) == 2 * 3 + 2 * 2      # replicates plus mean/stderr rows
 
 
 class TestSpecs:
@@ -109,13 +127,14 @@ class TestSpecs:
     def test_replicate_failures_recorded_and_fatal_above_threshold(self, tmp_path, monkeypatch):
         import netamp.experiments as ex
 
-        def explode(args):
-            seed = args[3]
-            if seed % 2 == 0:
-                raise RuntimeError("boom")
-            return (seed, 0.1, 0.2, 0.3)
+        real_run = ex.run
 
-        monkeypatch.setattr(ex, "_amp_replicate", explode)
+        def explode(ds, *args, **kwargs):
+            if ds.seed % 2 == 0:
+                raise RuntimeError("boom")
+            return real_run(ds, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "run", explode)
         spec = ExperimentSpec(name="fail", pipelines=("amp",), n=100, p=100,
                               rho=0.3, b_p=10.0, lambdas=(1.0,), deltas=(1.0,),
                               replicates=4, T=3)
@@ -125,6 +144,38 @@ class TestSpecs:
         assert "boom" in meta["failed_replicates"]
         kept = [r for r in rows if r[2] not in ("mean", "stderr")]
         assert len(kept) == 2          # failed replicates skipped
+
+    def test_failed_replicates_trailer_is_pipeline_major(self, tmp_path, monkeypatch):
+        """A failed draw or run fans out to every (pipeline, Delta) unit it fed."""
+        import netamp.experiments as ex
+
+        real_generate, real_run = ex.generate, ex.run
+
+        def flaky_generate(params, seed):
+            if seed == 3:
+                raise RuntimeError("boom")
+            return real_generate(params, seed)
+
+        def flaky_run(ds, *args, **kwargs):
+            if ds.seed == 5:
+                raise RuntimeError(f"bad run at Delta={ds.params.Delta}")
+            return real_run(ds, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "generate", flaky_generate)
+        monkeypatch.setattr(ex, "run", flaky_run)
+        spec = ExperimentSpec(name="trailer", pipelines=("fdr", "amp"), n=60, p=60,
+                              rho=0.3, b_p=6.0, lambdas=(1.0,), deltas=(0.5, 1.0),
+                              replicates=24, T=3)
+        expected = ";".join(entry for pl in ("amp", "fdr") for delta in spec.deltas
+                            for entry in ("3:RuntimeError: boom",
+                                          f"5:RuntimeError: bad run at Delta={delta}"))
+        paths = ex.run_experiment(spec, str(tmp_path))
+        assert list(paths) == ["amp", "fdr"]
+        for path in paths.values():
+            meta, _, rows = read_csv(path)
+            assert meta["failed_replicates"] == expected
+            kept = [r for r in rows if r[2] not in ("mean", "stderr")]
+            assert len(kept) == 2 * 22
 
     def test_spec_file_round_trip(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from netamp.priors import spike_slab
 from netamp.synth import (Dataset, ModelParams, ap_to_snr,
                           centered_adjacency_apply, centered_adjacency_dense,
                           gaussian_surrogate, generate, load_dataset,
-                          save_dataset, snr_to_ap)
+                          save_dataset, snr_to_ap, with_delta)
 
 
 class TestSnrCalibration:
@@ -120,6 +121,25 @@ class TestGenerate:
         ds = generate(small_params, 2)
         norms = np.linalg.norm(ds.Phi, axis=0)
         assert norms.mean() == pytest.approx(1.0, rel=0.02)
+
+    def test_with_delta_equals_fresh_draw(self):
+        prior = spike_slab(0.4, [-1.0, 1.0])
+        params = ModelParams.from_snr(n=90, p=80, Delta=1.0, b_p=8.0, lam=2.0,
+                                      prior=prior)
+        base = generate(params, 11)
+        for delta in (0.3, 2.5):
+            derived = with_delta(base, delta)
+            fresh = generate(dataclasses.replace(params, Delta=delta), 11)
+            assert derived.params == fresh.params
+            assert derived.seed == fresh.seed
+            for name in ("y", "Phi", "sigma0", "beta0"):
+                assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(derived.adjacency, name),
+                                      getattr(fresh.adjacency, name)), name
+            assert derived.Phi is base.Phi
+            assert derived.adjacency is base.adjacency
+            assert not np.array_equal(derived.y, base.y)
 
     def test_param_validation(self):
         prior = spike_slab(0.5, [1.0])
