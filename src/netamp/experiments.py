@@ -69,6 +69,10 @@ class ExperimentSpec:
             problems.append("replicates must be at least 1")
         if not self.lambdas or not self.deltas:
             problems.append("sweep grids must be nonempty")
+        if not all(d > 0 for d in self.deltas):
+            problems.append("every Delta must be positive")
+        if not all(lam >= 0 for lam in self.lambdas):
+            problems.append("lambdas must be nonnegative")
         if self.n < 1 or self.p < 1:
             problems.append("n and p must be positive")
         if not 0.0 < self.rho < 1.0:

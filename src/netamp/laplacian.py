@@ -5,11 +5,10 @@ Minimizes
     F(beta) = 0.5 ||y - Phi beta||^2 + lambda1 ||beta||_1
             + 0.5 lambda2 beta^T L beta
 
-by proximal gradient with backtracking, where L is the (optionally
-degree-normalized) Laplacian of the observed graph.  The quadratic term
-pulls coefficients of adjacent vertices together, which is how the side
-network enters this estimator; it is the comparison point for the
-message-passing approach.
+by proximal gradient with backtracking, where L = D - A is the Laplacian of
+the observed graph.  The quadratic term pulls coefficients of adjacent
+vertices together, which is how the side network enters this estimator; it
+is the comparison point for the message-passing approach.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class LapConfig:
     lambda2: float = 0.0
     max_iter: int = 500
     tol: float = 1e-7
-    normalize_laplacian: bool = False
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -48,16 +46,10 @@ class LapFit:
     objective: float
 
 
-def graph_laplacian(adjacency: sp.csr_array, normalize: bool = False) -> sp.csr_array:
-    """L = D - A, optionally D~^{-1/2} (D - A) D~^{-1/2} with D~ = max(deg, 1)."""
+def graph_laplacian(adjacency: sp.csr_array) -> sp.csr_array:
+    """L = D - A with D the diagonal degree matrix."""
     deg = np.asarray(adjacency.sum(axis=1)).ravel()
-    L = sp.diags_array(deg) - adjacency
-    if normalize:
-        inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        inv_sqrt[deg == 0] = 0.0        # isolated vertices get zero rows
-        D = sp.diags_array(inv_sqrt)
-        L = D @ L @ D
-    return L.tocsr()
+    return (sp.diags_array(deg) - adjacency).tocsr()
 
 
 def _soft_threshold(x: np.ndarray, thr: float) -> np.ndarray:
@@ -74,8 +66,7 @@ def fit(dataset: Dataset, config: LapConfig) -> LapFit:
     """Proximal gradient with backtracking line search on the smooth part."""
     Phi, y = dataset.Phi, dataset.y
     n, p = Phi.shape
-    L = graph_laplacian(dataset.adjacency, config.normalize_laplacian) \
-        if config.lambda2 > 0 else None
+    L = graph_laplacian(dataset.adjacency) if config.lambda2 > 0 else None
 
     def smooth_val_grad(beta):
         r = Phi @ beta - y

@@ -43,6 +43,7 @@ __all__ = [
     "denoiser_partials",
     "mmse1",
     "mmse2",
+    "mmse_pair",
     "scalar_mi",
     "spike_slab",
 ]
@@ -166,42 +167,56 @@ def _atom_arrays(prior: PriorSpec):
 
 
 def _log_weights(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
-    """Log posterior weights over joint atoms, shape x.shape + (K,).
+    """Log posterior weights over joint atoms, shape (K,) + broadcast(x, y).
 
+    The atom sits on the leading axis, where numpy reduces fastest, and each
+    channel term is formed on its own operand's shape before the two meet.
     Normalization constants common to all atoms are omitted; they cancel
     once the weights are normalized.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sig, b, w = _atom_arrays(prior)
-    logw = np.broadcast_to(np.log(w), x.shape + (len(w),)).copy()
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    atom = lambda v, ndim: v.reshape(v.shape + (1,) * ndim)  # (K,) -> (K, 1, ..., 1)
+    logw = atom(np.log(w), len(shape))
 
     if ch.nu == 0.0:
         if ch.eta != 0.0:
-            match = np.abs(x[..., None] - ch.eta * sig) <= EXACT_TOL
+            match = np.abs(x - atom(ch.eta * sig, x.ndim)) <= EXACT_TOL
             logw = np.where(match, logw, -np.inf)
         # eta == nu == 0: factor dropped
     else:
-        logw = logw - 0.5 * ((x[..., None] - ch.eta * sig) / ch.nu) ** 2
+        logw = logw - 0.5 * ((x - atom(ch.eta * sig, x.ndim)) / ch.nu) ** 2
 
     if ch.tau == 0.0:
-        match = np.abs(y[..., None] - b) <= EXACT_TOL
+        match = np.abs(y - atom(b, y.ndim)) <= EXACT_TOL
         logw = np.where(match, logw, -np.inf)
     elif not math.isinf(ch.tau):
-        logw = logw - 0.5 * ((y[..., None] - b) / ch.tau) ** 2
+        logw = logw - 0.5 * ((y - atom(b, y.ndim)) / ch.tau) ** 2
     # tau == inf: factor dropped
 
-    return logw
+    return np.broadcast_to(logw, (len(w),) + shape)
 
 
 def _posterior(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
-    """Normalized posterior atom probabilities, shape x.shape + (K,)."""
+    """Normalized posterior atom probabilities, shape broadcast(x, y) + (K,).
+
+    The weights are normalized over the leading atom axis of `_log_weights`
+    and written straight into a contiguous (..., K) array, so the `post @ v`
+    products of the callers see the same operand as a last-axis build.
+    Full-size temporaries are reused in place: allocating them costs more
+    than the arithmetic.
+    """
     logw = _log_weights(x, y, ch, prior)
-    mx = np.max(logw, axis=-1, keepdims=True)
+    mx = np.max(logw, axis=0)
     if np.any(np.isneginf(mx)):
         raise InconsistentObservation("inconsistent observation")
-    w = np.exp(logw - mx)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = logw - mx
+    np.exp(w, out=w)
+    post = np.empty(w.shape[1:] + w.shape[:1])
+    np.divide(w, w.sum(axis=0), out=np.moveaxis(post, -1, 0))
+    return post
 
 
 def denoise_sigma(x, y, ch: ScalarChannelParams, prior: PriorSpec):
@@ -294,7 +309,6 @@ def _mmse_channels(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
 
     X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
     Y = b[:, None, None] + (0.0 if not informative_b else tau) * z_b[None, :, None]
-    X, Y = np.broadcast_arrays(X, Y)
 
     post = _posterior(X, Y, ch, prior)
     fs = post @ sig
@@ -313,22 +327,25 @@ def _mu_xi_channels(mu: float, xi: float, Delta: float, kappa: float):
     return math.sqrt(mu), 1.0, math.sqrt(Delta * (1.0 + xi) / kappa)
 
 
-def mmse1(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
-          quad: QuadratureRule = DEFAULT_QUAD) -> float:
-    """E[(Sigma - E[Sigma | sqrt(mu)*Sigma + Z, B + sqrt(Delta(1+xi)/kappa)*Z'])^2]."""
+def mmse_pair(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
+              quad: QuadratureRule = DEFAULT_QUAD) -> tuple[float, float]:
+    """(mmse1, mmse2) at one point, from a single quadrature pass."""
     if quad.order < 21:
         raise ValueError("quadrature order must be at least 21")
     eta, nu, tau = _mu_xi_channels(mu, xi, Delta, kappa)
-    return _mmse_channels(prior, eta, nu, tau, quad)[0]
+    return _mmse_channels(prior, eta, nu, tau, quad)
+
+
+def mmse1(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
+          quad: QuadratureRule = DEFAULT_QUAD) -> float:
+    """E[(Sigma - E[Sigma | sqrt(mu)*Sigma + Z, B + sqrt(Delta(1+xi)/kappa)*Z'])^2]."""
+    return mmse_pair(mu, xi, prior, Delta, kappa, quad)[0]
 
 
 def mmse2(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
           quad: QuadratureRule = DEFAULT_QUAD) -> float:
     """E[(B - E[B | B + sqrt(Delta(1+xi)/kappa)*Z, sqrt(mu)*Sigma + Z'])^2]."""
-    if quad.order < 21:
-        raise ValueError("quadrature order must be at least 21")
-    eta, nu, tau = _mu_xi_channels(mu, xi, Delta, kappa)
-    return _mmse_channels(prior, eta, nu, tau, quad)[1]
+    return mmse_pair(mu, xi, prior, Delta, kappa, quad)[1]
 
 
 def scalar_mi(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
@@ -346,20 +363,23 @@ def scalar_mi(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float
     sig, b, w = _atom_arrays(prior)
     zs, wq = quad.nodes, quad.weights
 
-    # observation grids given true atom k: a = eta*sig_k + z2, y = b_k + tau*z1
-    A = eta * sig[:, None, None] + nu * zs[None, None, :]
-    Y = b[:, None, None] + tau * zs[None, :, None]
-    A, Y = np.broadcast_arrays(A, Y)
+    # observation grids given true atom k: a = eta*sig_k + z2, y = b_k + tau*z1,
+    # kept on their own (k, z2) and (k, z1) shapes; the grid is (k, z1, z2)
+    A = eta * sig[:, None] + nu * zs[None, :]
+    Y = b[:, None] + tau * zs[None, :]
 
     # conditional log-likelihood (constants cancel against the mixture)
-    log_num = (-0.5 * ((A - eta * sig[:, None, None]) / nu) ** 2
-               - 0.5 * ((Y - b[:, None, None]) / tau) ** 2)
-    # mixture over atoms m
-    logm = (np.log(w)
-            - 0.5 * ((A[..., None] - eta * sig) / nu) ** 2
-            - 0.5 * ((Y[..., None] - b) / tau) ** 2)
-    mx = logm.max(axis=-1)
-    log_den = mx + np.log(np.sum(np.exp(logm - mx[..., None]), axis=-1))
+    log_num = ((-0.5 * ((A - eta * sig[:, None]) / nu) ** 2)[:, None, :]
+               - (0.5 * ((Y - b[:, None]) / tau) ** 2)[:, :, None])
+    # mixture over atoms m, on the leading axis of (m, k, z1, z2); the
+    # operands and order of (log w - tA) - tY fix the rounding, which
+    # tests/test_priors.py pins to a naive last-axis reference
+    tA = 0.5 * ((A - (eta * sig)[:, None, None]) / nu) ** 2
+    tY = 0.5 * ((Y - b[:, None, None]) / tau) ** 2
+    logm = (np.log(w)[:, None, None, None] - tA[:, :, None, :]) - tY[:, :, :, None]
+    mx = logm.max(axis=0)
+    logm -= mx                          # in place, as in `_posterior`
+    log_den = mx + np.log(np.sum(np.exp(logm, out=logm), axis=0))
 
     wgrid = w[:, None, None] * wq[None, :, None] * wq[None, None, :]
     return float(np.sum(wgrid * (log_num - log_den)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, mmse1, mmse2, scalar_mi
+from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, mmse_pair, scalar_mi
 from .state_evolution import SeFixedPoint, fixed_point
 
 __all__ = ["RsEvaluation", "OptimalityReport", "rs_value", "minimize", "optimality_check"]
@@ -82,11 +82,11 @@ def rs_value(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
 
 
 def _stationarity_residual(mu, xi, prior, lam, kappa, Delta, quad) -> float:
-    r_xi = abs(xi - mmse2(mu, xi, prior, Delta, kappa, quad) / Delta)
+    m1, m2 = mmse_pair(mu, xi, prior, Delta, kappa, quad)
+    r_xi = abs(xi - m2 / Delta)
     if lam == 0.0:
         return max(abs(mu), r_xi)
-    r_mu = abs(mu - lam * (prior.rho - mmse1(mu, xi, prior, Delta, kappa, quad)))
-    return max(r_mu, r_xi)
+    return max(abs(mu - lam * (prior.rho - m1)), r_xi)
 
 
 def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule, _mmse_channels,
-                     mmse1, mmse2)
+                     mmse1, mmse2, mmse_pair)
 
 __all__ = ["SeTrace", "SeFixedPoint", "se_run", "fixed_point", "predicted_errors"]
 
@@ -97,9 +97,8 @@ def se_run(prior: PriorSpec, lam: float, kappa: float, Delta: float, T: int,
 
 def _residual(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
               Delta: float, quad: QuadratureRule) -> float:
-    r_mu = abs(mu - lam * (prior.rho - mmse1(mu, xi, prior, Delta, kappa, quad)))
-    r_xi = abs(xi - mmse2(mu, xi, prior, Delta, kappa, quad) / Delta)
-    return max(r_mu, r_xi)
+    m1, m2 = mmse_pair(mu, xi, prior, Delta, kappa, quad)
+    return max(abs(mu - lam * (prior.rho - m1)), abs(xi - m2 / Delta))
 
 
 def fixed_point(prior: PriorSpec, lam: float, kappa: float, Delta: float,

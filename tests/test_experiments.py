@@ -115,6 +115,15 @@ class TestSpecs:
         with pytest.raises(ValueError, match="nonempty"):
             ExperimentSpec(name="x", pipelines=("amp",), lambdas=())
 
+    @pytest.mark.parametrize("grid, frag", [
+        (dict(deltas=(0.0, 1.0)), "every Delta must be positive"),
+        (dict(deltas=(-1.0, 1.0)), "every Delta must be positive"),
+        (dict(lambdas=(-1.0,)), "lambdas must be nonnegative"),
+    ])
+    def test_sweep_values_rejected(self, grid, frag):
+        with pytest.raises(ValueError, match="invalid experiment spec: " + frag):
+            ExperimentSpec(name="x", pipelines=("amp", "baseline"), **grid)
+
     def test_exhaustive_validation_message(self):
         with pytest.raises(ValueError) as ei:
             ExperimentSpec(name="x", pipelines=("bogus",), replicates=0,

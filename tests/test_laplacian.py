@@ -93,13 +93,6 @@ class TestLaplacianMatrix:
         direct = sum((beta[i] - beta[j]) ** 2 for i, j in edges)
         assert float(beta @ (L @ beta)) == pytest.approx(direct, abs=1e-10)
 
-    def test_normalized_isolated_rows(self):
-        import scipy.sparse as sp
-
-        adj = sp.csr_array((4, 4))        # empty graph: all vertices isolated
-        L = graph_laplacian(adj, normalize=True)
-        assert L.nnz == 0
-
 
 class TestTune:
     def test_single_point_grid(self, square_dataset):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netamp.errors import DegenerateChannel, InconsistentObservation
-from netamp.priors import (PriorSpec, QuadratureRule, ScalarChannelParams,
-                           denoise_beta, denoise_sigma, denoiser_partials,
-                           joint_atoms, mmse1, mmse2, scalar_mi, spike_slab)
+from netamp.priors import (EXACT_TOL, PriorSpec, QuadratureRule, ScalarChannelParams,
+                           _atom_arrays, _mmse_channels, denoise_beta, denoise_sigma,
+                           denoiser_partials, joint_atoms, mmse1, mmse2, scalar_mi,
+                           spike_slab)
 
 # Frozen Monte-Carlo oracle values.  Windowed kernel average of the latent
 # given observations in a shrinking window (2e8 draws, bandwidths 0.06/0.03,
@@ -253,3 +254,194 @@ class TestScalarMi:
     def test_nonnegative(self, five_atom, quad):
         for mu, xi in [(0.0, 0.0), (0.1, 5.0), (3.0, 0.2)]:
             assert scalar_mi(mu, xi, five_atom, 2.0, 1.5, quad) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# Naive reference kernels: the atom on the last axis of fully broadcast
+# grids, reduced there.  The package kernels put the atom on the leading axis
+# and must agree with these bit for bit while the joint prior has at most 7
+# atoms, where numpy's last-axis sum also adds left to right.
+
+def _naive_log_weights(x, y, ch, prior):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sig, b, w = _atom_arrays(prior)
+    logw = np.broadcast_to(np.log(w), x.shape + (len(w),)).copy()
+    if ch.nu == 0.0:
+        if ch.eta != 0.0:
+            match = np.abs(x[..., None] - ch.eta * sig) <= EXACT_TOL
+            logw = np.where(match, logw, -np.inf)
+    else:
+        logw = logw - 0.5 * ((x[..., None] - ch.eta * sig) / ch.nu) ** 2
+    if ch.tau == 0.0:
+        match = np.abs(y[..., None] - b) <= EXACT_TOL
+        logw = np.where(match, logw, -np.inf)
+    elif not math.isinf(ch.tau):
+        logw = logw - 0.5 * ((y[..., None] - b) / ch.tau) ** 2
+    return logw
+
+
+def _naive_posterior(x, y, ch, prior):
+    logw = _naive_log_weights(x, y, ch, prior)
+    mx = np.max(logw, axis=-1, keepdims=True)
+    if np.any(np.isneginf(mx)):
+        raise InconsistentObservation("inconsistent observation")
+    w = np.exp(logw - mx)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _naive_moments(x, y, ch, prior):
+    post = _naive_posterior(x, y, ch, prior)
+    sig, b, _ = _atom_arrays(prior)
+    ms, mb = post @ sig, post @ b
+    return (ms, mb, post @ (sig * sig) - ms * ms, post @ (b * b) - mb * mb,
+            post @ (sig * b) - ms * mb)
+
+
+def _naive_mmse_channels(prior, eta, nu, tau, quad):
+    sig, b, w = _atom_arrays(prior)
+    ch = ScalarChannelParams(eta=eta, nu=nu, tau=tau)
+    informative_sig = nu > 0 and eta > 0
+    informative_b = not math.isinf(tau)
+    zs, wq = quad.nodes, quad.weights
+    z_sig = zs if informative_sig or nu > 0 else np.array([0.0])
+    w_sig = wq if z_sig.shape == zs.shape else np.array([1.0])
+    z_b = zs if informative_b else np.array([0.0])
+    w_b = wq if informative_b else np.array([1.0])
+    X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
+    Y = b[:, None, None] + (0.0 if not informative_b else tau) * z_b[None, :, None]
+    X, Y = np.broadcast_arrays(X, Y)
+    post = _naive_posterior(X, Y, ch, prior)
+    fs, fb = post @ sig, post @ b
+    wgrid = w[:, None, None] * w_b[None, :, None] * w_sig[None, None, :]
+    return (float(np.sum(wgrid * (sig[:, None, None] - fs) ** 2)),
+            float(np.sum(wgrid * (b[:, None, None] - fb) ** 2)))
+
+
+def _channels(mu, xi, Delta, kappa):
+    return math.sqrt(mu), 1.0, math.sqrt(Delta * (1.0 + xi) / kappa)
+
+
+def _naive_scalar_mi(mu, xi, prior, Delta, kappa, quad):
+    eta, nu, tau = _channels(mu, xi, Delta, kappa)
+    sig, b, w = _atom_arrays(prior)
+    zs, wq = quad.nodes, quad.weights
+    A = eta * sig[:, None, None] + nu * zs[None, None, :]
+    Y = b[:, None, None] + tau * zs[None, :, None]
+    A, Y = np.broadcast_arrays(A, Y)
+    log_num = (-0.5 * ((A - eta * sig[:, None, None]) / nu) ** 2
+               - 0.5 * ((Y - b[:, None, None]) / tau) ** 2)
+    logm = (np.log(w)
+            - 0.5 * ((A[..., None] - eta * sig) / nu) ** 2
+            - 0.5 * ((Y[..., None] - b) / tau) ** 2)
+    mx = logm.max(axis=-1)
+    log_den = mx + np.log(np.sum(np.exp(logm - mx[..., None]), axis=-1))
+    wgrid = w[:, None, None] * wq[None, :, None] * wq[None, None, :]
+    return float(np.sum(wgrid * (log_num - log_den)))
+
+
+_QUADS = {order: QuadratureRule.gauss_hermite(order) for order in (21, 41)}
+
+
+@st.composite
+def _priors(draw, k_min, k_max):
+    """Joint priors with k_min..k_max atoms, split over both Sigma values."""
+    k = draw(st.integers(k_min, k_max))
+    k0 = draw(st.integers(1, k - 1))
+    vals = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    rho = draw(st.floats(0.05, 0.95))
+
+    def atoms(v, p):
+        return tuple((vi, pi / sum(p)) for vi, pi in zip(v, p))
+
+    return PriorSpec(rho=rho, atoms0=atoms(vals[:k0], raw[:k0]),
+                     atoms1=atoms(vals[k0:], raw[k0:]))
+
+
+_POINT = dict(mu=st.floats(0.0, 6.0), xi=st.floats(0.0, 6.0),
+              Delta=st.floats(0.1, 4.0), kappa=st.floats(0.3, 3.0),
+              order=st.sampled_from(sorted(_QUADS)))
+_CHANNEL = dict(eta=st.floats(0.0, 4.0), nu=st.floats(0.05, 4.0),
+                tau=st.one_of(st.floats(0.05, 4.0), st.just(math.inf)),
+                seed=st.integers(0, 2**32 - 1))
+
+
+def _kernel_values(mu, xi, prior, Delta, kappa, order):
+    q = _QUADS[order]
+    got = (scalar_mi(mu, xi, prior, Delta, kappa, q),
+           mmse1(mu, xi, prior, Delta, kappa, q), mmse2(mu, xi, prior, Delta, kappa, q))
+    ref = ((_naive_scalar_mi(mu, xi, prior, Delta, kappa, q),)
+           + _naive_mmse_channels(prior, *_channels(mu, xi, Delta, kappa), q))
+    return got, ref
+
+
+def _denoiser_values(prior, eta, nu, tau, seed):
+    rng = np.random.default_rng(seed)
+    x, y = 3.0 * rng.normal(size=(2, 200))
+    ch = ScalarChannelParams(eta=eta, nu=nu, tau=tau)
+    ms, mb, vs, vb, cov = _naive_moments(x, y, ch, prior)
+    sig_gain = eta / nu**2
+    b_gain = 0.0 if math.isinf(tau) else 1.0 / tau**2
+    got = (denoise_sigma(x, y, ch, prior), denoise_beta(y, x, ch, prior),
+           *denoiser_partials(x, y, ch, prior))
+    ref = (np.clip(ms, 0.0, 1.0), np.clip(mb, -prior.s_max, prior.s_max),
+           sig_gain * vs, b_gain * cov, b_gain * vb, sig_gain * cov)
+    return got, ref
+
+
+class TestKernelOracle:
+    """Package kernels against the naive last-axis references above."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(prior=_priors(2, 7), **_POINT)
+    def test_scalar_functionals_bitwise(self, prior, mu, xi, Delta, kappa, order):
+        got, ref = _kernel_values(mu, xi, prior, Delta, kappa, order)
+        assert got == ref
+
+    @settings(max_examples=400, deadline=None)
+    @given(prior=_priors(2, 7), **_CHANNEL)
+    def test_denoisers_bitwise(self, prior, eta, nu, tau, seed):
+        got, ref = _denoiser_values(prior, eta, nu, tau, seed)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    # From 8 atoms on, numpy's last-axis sum adds pairwise, so the two layouts
+    # round differently.  Each value must then agree to 1e-14 relative to its
+    # natural scale: 1 for the MI and for quantities of Sigma, s_max per
+    # factor of B, times the channel gain for the denoiser partials.
+
+    @settings(max_examples=100, deadline=None)
+    @given(prior=_priors(8, 10), **_POINT)
+    def test_scalar_functionals_many_atoms(self, prior, mu, xi, Delta, kappa, order):
+        got, ref = _kernel_values(mu, xi, prior, Delta, kappa, order)
+        scales = (1.0, 1.0, max(prior.s_max, 1.0) ** 2)
+        for g, r, s in zip(got, ref, scales):
+            assert abs(g - r) <= 1e-14 * s
+
+    @settings(max_examples=100, deadline=None)
+    @given(prior=_priors(8, 10), **_CHANNEL)
+    def test_denoisers_many_atoms(self, prior, eta, nu, tau, seed):
+        got, ref = _denoiser_values(prior, eta, nu, tau, seed)
+        s_b = max(prior.s_max, 1.0)
+        sig_gain = eta / nu**2
+        b_gain = 0.0 if math.isinf(tau) else 1.0 / tau**2
+        scales = (1.0, s_b, sig_gain, b_gain * s_b, b_gain * s_b**2, sig_gain * s_b)
+        for g, r, s in zip(got, ref, scales):
+            assert np.max(np.abs(g - r)) <= 1e-14 * s
+
+    @pytest.mark.parametrize("eta, nu, tau", [
+        (0.0, 0.0, 1.0), (1.3, 0.0, 0.7), (0.8, 1.1, 0.0), (0.8, 1.1, math.inf),
+        (0.0, 0.0, math.inf)])
+    def test_degenerate_channels_bitwise(self, five_atom, quad, eta, nu, tau):
+        sig, b, _ = _atom_arrays(five_atom)
+        rng = np.random.default_rng(7)
+        idx = rng.integers(len(sig), size=50)
+        # exact-conditioning channels observe an atom exactly
+        x = eta * sig[idx] if nu == 0.0 else rng.normal(size=50)
+        y = b[idx] if tau == 0.0 else rng.normal(size=50)
+        ch = ScalarChannelParams(eta=eta, nu=nu, tau=tau)
+        assert np.array_equal(denoise_sigma(x, y, ch, five_atom),
+                              np.clip(_naive_posterior(x, y, ch, five_atom) @ sig, 0.0, 1.0))
+        assert (_mmse_channels(five_atom, eta, nu, tau, quad)
+                == _naive_mmse_channels(five_atom, eta, nu, tau, quad))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from netamp.priors import mmse1, mmse2
 from netamp.rs_potential import GridSpec, minimize, optimality_check, rs_value
 from netamp.state_evolution import fixed_point, predicted_errors
 
@@ -40,8 +41,14 @@ class TestMinimize:
         assert ev.xi_bar == pytest.approx(0.0, abs=1e-6)
 
     def test_stationarity_at_minimizer(self, five_atom, quad):
-        ev = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad)
-        assert ev.stationarity_residual <= 1e-4
+        for lam in (0.0, 2.0):
+            ev = minimize(five_atom, lam, 1.5, 1.0, quad=quad)
+            m1 = mmse1(ev.mu_bar, ev.xi_bar, five_atom, 1.0, 1.5, quad)
+            m2 = mmse2(ev.mu_bar, ev.xi_bar, five_atom, 1.0, 1.5, quad)
+            r_mu = abs(ev.mu_bar - lam * (five_atom.rho - m1))
+            r_xi = abs(ev.xi_bar - m2 / 1.0)
+            assert ev.stationarity_residual == max(r_mu, r_xi)
+            assert ev.stationarity_residual <= 1e-4
 
     def test_matches_fixed_point_here(self, five_atom, quad):
         ev = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad)

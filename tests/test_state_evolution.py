@@ -62,13 +62,14 @@ class TestFixedPoint:
     def test_residual_definition(self, five_atom, quad):
         from netamp.priors import mmse1, mmse2
 
-        fp = fixed_point(five_atom, 2.0, 1.5, 1.0, quad=quad)
-        r_mu = abs(fp.mu_star - 2.0 * (0.4 - mmse1(fp.mu_star, fp.xi_star,
-                                                   five_atom, 1.0, 1.5, quad)))
-        r_xi = abs(fp.xi_star - mmse2(fp.mu_star, fp.xi_star, five_atom,
-                                      1.0, 1.5, quad) / 1.0)
-        assert max(r_mu, r_xi) == pytest.approx(fp.residual, abs=1e-14)
-        assert fp.residual <= 1e-10
+        for lam in (0.0, 2.0):
+            fp = fixed_point(five_atom, lam, 1.5, 1.0, quad=quad)
+            r_mu = abs(fp.mu_star - lam * (0.4 - mmse1(fp.mu_star, fp.xi_star,
+                                                       five_atom, 1.0, 1.5, quad)))
+            r_xi = abs(fp.xi_star - mmse2(fp.mu_star, fp.xi_star, five_atom,
+                                          1.0, 1.5, quad) / 1.0)
+            assert fp.residual == max(r_mu, r_xi)
+            assert fp.residual <= 1e-10
 
     def test_long_recursion_oracle(self, five_atom, quad_double):
         """Fixed point vs a 500-step trace at doubled quadrature order."""
