@@ -16,7 +16,7 @@ coefficients <df_t> (w.r.t. the sigma observation) and <dzeta_{t-1}>
 average analytic derivatives; they cancel the iterate correlations that
 would otherwise break the Gaussian-channel picture.
 
-Initialization is uninformative by default: sigma^0 = rho * 1 and
+Initialization is uninformative: sigma^0 = rho * 1 and
 beta^0 = E[B] * 1 with z^{-1} = 0, so the t = 0 sigma denoiser is the
 constant rho (no B-side observation exists yet) and the t = 0 residual is
 plain y0 - S beta^0.
@@ -41,26 +41,17 @@ __all__ = ["AmpConfig", "AmpResult", "run", "onsager_average"]
 
 @dataclass(frozen=True)
 class AmpConfig:
-    """Iteration count, initialization and matrix mode for one run."""
+    """Iteration count and matrix mode for one run."""
 
     T: int = 25
-    init: str = "prior-mean"           # "prior-mean" or "oracle"
-    oracle_eps: float = 0.5            # overlap of the oracle start
     matrix_mode: str = "sbm"           # "sbm" or "gaussian-surrogate"
-    damping: float = 1.0
     record_history: bool = True
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be at least 1")
-        if self.init not in ("prior-mean", "oracle"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "oracle" and not 0.0 < self.oracle_eps <= 1.0:
-            raise ValueError("oracle_eps must be in (0, 1]")
         if self.matrix_mode not in ("sbm", "gaussian-surrogate"):
             raise ValueError(f"unknown matrix_mode {self.matrix_mode!r}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -147,19 +138,13 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
     lam = params.lam
     T = config.T
 
-    oracle_init = config.init == "oracle"
-    se_init = None
-    rng_init = None
-    if oracle_init:
-        eps = config.oracle_eps
-        se_init = (eps, math.sqrt(1.0 - eps**2))
-        rng_init = np.random.default_rng(np.random.SeedSequence(dataset.seed).spawn(6)[5])
     if se_trace is None:
-        se_trace = se_run(prior, lam, kappa, params.Delta, T + 1, quad, init=se_init)
+        se_trace = se_run(prior, lam, kappa, params.Delta, T + 1, quad)
     if len(se_trace) < T + 2:
         raise ValueError("state-evolution trace too short for T iterations")
 
-    S = dataset.Phi / math.sqrt(kappa)
+    # Phi / sqrt(1.0) is Phi bit for bit, and nothing below writes into S
+    S = dataset.Phi if kappa == 1.0 else dataset.Phi / math.sqrt(kappa)
     y0 = dataset.y / math.sqrt(kappa)
 
     if config.matrix_mode == "gaussian-surrogate":
@@ -168,16 +153,12 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
     else:
         apply_graph = lambda v: centered_adjacency_apply(dataset, v)
 
-    if oracle_init:
-        eps = config.oracle_eps
-        sigma = eps * dataset.sigma0 + math.sqrt(1.0 - eps**2) * rng_init.standard_normal(p)
-    else:
-        sigma = np.full(p, prior.rho)
+    sigma = np.full(p, prior.rho)
     beta = np.full(p, prior.mean_b())
     z_prev = np.zeros(n)
     b_prev = np.zeros(p)           # placeholder; ignored while tau is absent
     r_prev = np.zeros(p)
-    gamma = config.damping
+    omega = 0.0                    # beta^0 is the initializer, not a denoiser output
 
     overlap = np.full(T + 1, np.nan)
     mse_beta = np.full(T + 1, np.nan)
@@ -201,23 +182,14 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
         sigma_next = apply_graph(r) / math.sqrt(p) - df_mean * r_prev
         _check_finite("sigma", sigma_next, t)
 
-        if t == 0:
-            omega = 0.0            # beta^0 is the initializer, not a denoiser output
-        else:
-            ch_prev = _beta_channel(se_trace, t - 1)
-            _, omega = _zeta_and_partial(b_prev, sigma, ch_prev, prior)
         z = y0 - S @ beta + (omega / kappa) * z_prev
         _check_finite("z", z, t)
 
         b = S.T @ z + beta
         ch_z = _beta_channel(se_trace, t)
-        beta_next, _ = _zeta_and_partial(b, sigma_next, ch_z, prior)
+        # omega is the Onsager mean of the map that made beta^{t+1}: step t+1 needs it
+        beta_next, omega = _zeta_and_partial(b, sigma_next, ch_z, prior)
         _check_finite("beta", beta_next, t)
-
-        if gamma < 1.0 and t > 0:
-            sigma_next = gamma * sigma_next + (1 - gamma) * sigma
-            beta_next = gamma * beta_next + (1 - gamma) * beta
-            z = gamma * z + (1 - gamma) * z_prev
 
         sigma = sigma_next
         r_prev = r

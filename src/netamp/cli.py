@@ -174,8 +174,8 @@ def main(argv=None) -> int:
         for v in values:
             lam = v if args.sweep == "lambda" else args.lam
             delta = v if args.sweep == "Delta" else args.Delta
-            ev = minimize(prior, lam, args.kappa, delta, quad=quad)
             fp = fixed_point(prior, lam, args.kappa, delta, quad=quad)
+            ev = minimize(prior, lam, args.kappa, delta, quad=quad, uninformative=fp)
             coincide = (abs(fp.mu_star - ev.mu_bar) <= 1e-4
                         and abs(fp.xi_star - ev.xi_bar) <= 1e-4)
             sink.add(sweep_value=v, mu_bar=ev.mu_bar, xi_bar=ev.xi_bar,

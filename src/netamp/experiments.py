@@ -441,8 +441,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
         for lam in spec.lambdas:
             for delta in spec.deltas:
                 say(f"mi lam={lam} Delta={delta}")
-                ev = minimize(prior, lam, kappa, delta, quad=quad)
                 fp = fp_at(lam, delta)
+                ev = minimize(prior, lam, kappa, delta, quad=quad, uninformative=fp)
                 coincide = (abs(fp.mu_star - ev.mu_bar) <= 1e-4
                             and abs(fp.xi_star - ev.xi_bar) <= 1e-4)
                 sink.add(**{"lambda": lam, "Delta": delta, "mu_bar": ev.mu_bar,

@@ -141,7 +141,8 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
 
 def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
              quad: QuadratureRule = DEFAULT_QUAD,
-             grid: GridSpec = GridSpec()) -> RsEvaluation:
+             grid: GridSpec = GridSpec(),
+             uninformative: SeFixedPoint | None = None) -> RsEvaluation:
     """Global minimum of the potential over the nonnegative quadrant.
 
     Strategy: coarse grid over [0, lam*rho] x [0, E[B^2]/Delta] evaluated at
@@ -149,6 +150,9 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
     grid cells by coordinate descent at full order, plus candidates seeded
     from the iterative fixed points (uninformative and informative starts).
     The global best over all refined candidates is returned.
+
+    ``uninformative`` is the caller's own ``fixed_point(prior, lam, kappa,
+    Delta, quad=quad)``, passed in so that it is not solved twice.
     """
     rho = prior.rho
     mu_hi = grid.mu_max if grid.mu_max is not None else max(lam * rho, 1e-8)
@@ -184,8 +188,10 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
             mu, xi, val = _coordinate_descent(f, mu0, xi0, mu_box, xi_box)
             candidates.append((mu, xi, val))
 
-    for start in ("uninformative", "informative"):
-        fp = fixed_point(prior, lam, kappa, Delta, quad=quad, start=start)
+    if uninformative is None:
+        uninformative = fixed_point(prior, lam, kappa, Delta, quad=quad)
+    informative = fixed_point(prior, lam, kappa, Delta, quad=quad, start="informative")
+    for fp in (uninformative, informative):
         mu0 = 0.0 if lam == 0.0 else fp.mu_star
         mu, xi, val = _coordinate_descent(f, mu0, fp.xi_star, mu_box, xi_box,
                                           mu_fixed=(lam == 0.0))
@@ -203,7 +209,7 @@ def optimality_check(prior: PriorSpec, lam: float, kappa: float, Delta: float,
                      quad: QuadratureRule = DEFAULT_QUAD) -> OptimalityReport:
     """Compare the iterative fixed point with the potential's global minimizer."""
     fp = fixed_point(prior, lam, kappa, Delta, quad=quad)
-    ev = minimize(prior, lam, kappa, Delta, quad=quad)
+    ev = minimize(prior, lam, kappa, Delta, quad=quad, uninformative=fp)
     coincide = (abs(fp.mu_star - ev.mu_bar) <= tol_match
                 and abs(fp.xi_star - ev.xi_bar) <= tol_match)
     if lam > 0:

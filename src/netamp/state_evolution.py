@@ -67,20 +67,16 @@ class SeFixedPoint:
 
 
 def se_run(prior: PriorSpec, lam: float, kappa: float, Delta: float, T: int,
-           quad: QuadratureRule = DEFAULT_QUAD,
-           init: tuple[float, float] | None = None) -> SeTrace:
+           quad: QuadratureRule = DEFAULT_QUAD) -> SeTrace:
     """Run T state-evolution steps; returns channel parameters for t = 0..T.
 
-    ``init`` optionally gives (eta_0, nu_0) for a correlated start; the
-    default is the uninformative (0, 0).
+    The start is uninformative: (eta_0, nu_0) = (0, 0).
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     eta = np.zeros(T + 1)
     nu = np.zeros(T + 1)
     tau = np.zeros(T + 1)
-    if init is not None:
-        eta[0], nu[0] = init
     tau[0] = math.sqrt((Delta + prior.second_moment_b()) / kappa)
     rho = prior.rho
 

@@ -46,6 +46,10 @@ _STREAM_LATENTS, _STREAM_DESIGN, _STREAM_NOISE, _STREAM_GRAPH, _STREAM_SURROGATE
 
 MAX_SURROGATE_P = 5000
 
+# rows of the upper triangle whose uniforms the graph sampler draws in one call;
+# 64 rows raised the figure2_sweep peak RSS by 0.8 MB, 16 rows ran as fast
+_GRAPH_ROW_BLOCK = 16
+
 
 def snr_to_ap(lam: float, b_p: float, p: int) -> float:
     """Within-community rate numerator a_p achieving graph SNR lam.
@@ -155,25 +159,33 @@ def _sample_design(rng: np.random.Generator, n: int, p: int, dist: str) -> np.nd
 
 def _sample_graph(rng: np.random.Generator, sigma0: np.ndarray,
                   a_p: float, b_p: float) -> sp.csr_array:
-    """Upper-triangular Bernoulli edges, row blocks to bound memory."""
+    """Bernoulli edges over the upper triangle, one row at a time.
+
+    Row i consumes p - 1 - i uniforms, one per pair (i, j > i) in order of
+    j; the uniforms of a block of rows come from one ``rng.random`` call,
+    which is the same stream as one call per row.
+    """
     p = sigma0.shape[0]
-    pa, pb = a_p / p, b_p / p
-    rows, cols = [], []
-    for i in range(p - 1):
-        j = np.arange(i + 1, p)
-        prob = np.where(sigma0[i] * sigma0[i + 1:] == 1.0, pa, pb)
-        hit = rng.random(p - 1 - i) < prob
-        if hit.any():
-            cols.append(j[hit])
-            rows.append(np.full(int(hit.sum()), i))
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = np.empty(0, dtype=int)
-        c = np.empty(0, dtype=int)
-    data = np.ones(len(r))
-    upper = sp.coo_array((data, (r, c)), shape=(p, p))
+    pb = b_p / p
+    row_prob = np.where(sigma0 == 1.0, a_p / p, pb)   # row i's rates when sigma0_i = 1
+    counts = np.zeros(p + 1, dtype=np.int64)
+    cols = [np.empty(0, dtype=np.intp)]
+    for start in range(0, p - 1, _GRAPH_ROW_BLOCK):
+        stop = min(start + _GRAPH_ROW_BLOCK, p - 1)
+        u = rng.random((stop - start) * (2 * p - 1 - start - stop) // 2)   # sum of p - 1 - i
+        off = 0
+        for i in range(start, stop):
+            width = p - 1 - i
+            rate = row_prob[i + 1:] if sigma0[i] == 1.0 else pb
+            hit = np.flatnonzero(u[off:off + width] < rate)
+            counts[i + 1] = hit.size
+            cols.append(hit + (i + 1))
+            off += width
+    indptr = np.cumsum(counts)
+    idx_dtype = sp.get_index_dtype(maxval=max(p, int(indptr[-1])))
+    indices = np.concatenate(cols, dtype=idx_dtype)
+    upper = sp.csr_array((np.ones(indices.size), indices, indptr.astype(idx_dtype)),
+                         shape=(p, p))
     return (upper + upper.T).tocsr()
 
 

@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from netamp.priors import spike_slab
-from netamp.synth import (Dataset, ModelParams, ap_to_snr,
+from netamp.synth import (Dataset, ModelParams, _sample_graph, ap_to_snr,
                           centered_adjacency_apply, centered_adjacency_dense,
                           gaussian_surrogate, generate, load_dataset,
                           save_dataset, snr_to_ap, with_delta)
@@ -33,6 +35,51 @@ class TestSnrCalibration:
     def test_supercritical(self):
         with pytest.raises(ValueError, match="supercritical"):
             snr_to_ap(1e6, 5.0, 10)
+
+
+def naive_sample_graph(rng, sigma0, a_p, b_p):
+    """One `rng.random` call and one COO row per upper-triangle row: the
+    reference for `_sample_graph`'s block-drawn CSR."""
+    p = sigma0.shape[0]
+    pa, pb = a_p / p, b_p / p
+    rows, cols = [], []
+    for i in range(p - 1):
+        j = np.arange(i + 1, p)
+        prob = np.where(sigma0[i] * sigma0[i + 1:] == 1.0, pa, pb)
+        hit = rng.random(p - 1 - i) < prob
+        if hit.any():
+            cols.append(j[hit])
+            rows.append(np.full(int(hit.sum()), i))
+    r = np.concatenate(rows) if rows else np.empty(0, dtype=int)
+    c = np.concatenate(cols) if cols else np.empty(0, dtype=int)
+    upper = sp.coo_array((np.ones(len(r)), (r, c)), shape=(p, p))
+    return (upper + upper.T).tocsr()
+
+
+class TestGraphSampler:
+    @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 129, 300])
+    def test_equals_naive_sampler(self, p):
+        """Same graph as the per-row reference, and the same stream consumed.
+
+        p runs across the row-block edges.  Rates are fractions of p
+        (a_p = fa p, b_p = fb p): a dense graph, lam = 0 (a_p = b_p) and a
+        near-empty graph with b_p = 0.7; sigma0 is random, all 0 or all 1.
+        """
+        draw = np.random.default_rng(100 + p)
+        sigmas = {"bernoulli": (draw.random(p) < 0.3).astype(float),
+                  "zeros": np.zeros(p), "ones": np.ones(p)}
+        rates = {"dense": (0.3, 0.1), "lam0": (0.1, 0.1), "near-empty": (1.5 / p, 0.7 / p)}
+        for (s_kind, sigma0), (r_kind, (fa, fb)) in itertools.product(sigmas.items(),
+                                                                        rates.items()):
+            for seed in (1, 2, 3):
+                case = (s_kind, r_kind, seed)
+                rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _sample_graph(rng_new, sigma0, fa * p, fb * p)
+                want = naive_sample_graph(rng_ref, sigma0, fa * p, fb * p)
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (name, case)
+                assert got.shape == (p, p)
+                assert rng_new.random() == rng_ref.random(), case
 
 
 @pytest.fixture(scope="module")
