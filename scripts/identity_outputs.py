@@ -1,0 +1,112 @@
+"""Write the harness CSVs of one checkout for a byte-identity comparison.
+
+    python scripts/identity_outputs.py CHECKOUT OUT_DIR
+
+Imports ``netamp`` from CHECKOUT/src and runs each case below into its own
+subdirectory of OUT_DIR:
+
+- every benchmark workload of CHECKOUT/bench/workloads.py at seeds 1 and 7,
+  at the workload's own harness thread count;
+- ``builtin_spec("smoke")`` and a spec with all seven pipelines, each at
+  threads 1 and 2, plus the all-pipeline spec at n != p and with a Bernoulli
+  design;
+- a spec in which ``generate`` raises on one replicate seed, and one in which
+  it raises on the baseline's tuning seed, each at threads 1 and 2.
+
+Each case's outcome ("ok", or the type and message of what the harness
+raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
+when ``python scripts/same_csvs.py OUT_A OUT_B`` reports 0 differing and
+0 missing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import os
+import sys
+
+
+def _all_pipelines(name: str, **kw) -> dict:
+    spec = dict(name=name, pipelines=("se", "mi", "amp", "baseline", "fdr",
+                                      "coverage", "universality"),
+                n=150, p=150, rho=0.3, b_p=15.0, lambdas=(2.0,),
+                deltas=(0.5, 1.5), replicates=3, T=6)
+    return {**spec, **kw}
+
+
+def cases(workloads) -> list[tuple[str, dict | str, int, int | None]]:
+    """(directory, spec keywords or built-in name, threads, seed at which generate raises)."""
+    out = [(f"{w}_seed{seed}", workloads.spec_kwargs(w, seed, False),
+            workloads.WORKLOADS[w]["threads"], None)
+           for w in workloads.WORKLOADS for seed in (1, 7)]
+    generate_fails = dict(name="generate_fails", pipelines=("se", "amp", "baseline", "fdr"),
+                          n=80, p=80, rho=0.3, b_p=8.0, lambdas=(1.0,),
+                          deltas=(0.5, 1.0), replicates=4, T=3)
+    tune_fails = dict(generate_fails, name="tune_fails",
+                      pipelines=("se", "mi", "amp", "baseline", "fdr"), replicates=2)
+    for threads in (1, 2):
+        out += [(f"smoke_t{threads}", "smoke", threads, None),
+                (f"all_t{threads}", _all_pipelines("all"), threads, None),
+                (f"generate_fails_t{threads}", generate_fails, threads, 1),
+                (f"tune_fails_t{threads}", tune_fails, threads, 2)]
+    out += [("kappa", _all_pipelines("kappa", n=180), 1, None),
+            ("bernoulli", _all_pipelines("bernoulli", design="bernoulli"), 1, None)]
+    return out
+
+
+@contextlib.contextmanager
+def generate_raising_at(ex, bad_seed: int | None):
+    """Make the harness's ``generate`` raise for one seed.
+
+    Pool workers see the patch because they are forked from this process
+    (the default start method on Linux).
+    """
+    real = ex.generate
+
+    def generate(params, seed):
+        if seed == bad_seed:
+            raise RuntimeError(f"no draw at seed {seed}")
+        return real(params, seed)
+
+    if bad_seed is not None:
+        ex.generate = generate
+    try:
+        yield
+    finally:
+        ex.generate = real
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    checkout, out_dir = (os.path.abspath(a) for a in argv)
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    import netamp.experiments as ex
+    import workloads
+
+    if os.path.dirname(os.path.dirname(ex.__file__)) != os.path.join(checkout, "src"):
+        print(f"netamp imported from {ex.__file__}, not {checkout}", file=sys.stderr)
+        return 2
+    os.makedirs(out_dir, exist_ok=True)
+    outcomes = []
+    for case, kw, threads, bad_seed in cases(workloads):
+        spec = ex.builtin_spec(kw) if isinstance(kw, str) else ex.ExperimentSpec(**kw)
+        print(f"{case}: {spec.name} at threads {threads}", file=sys.stderr)
+        try:
+            with generate_raising_at(ex, bad_seed):
+                ex.run_experiment(spec, os.path.join(out_dir, case), threads=threads,
+                                  overwrite=True)
+            outcome = "ok"
+        except Exception as exc:        # the outcome is part of the compared output
+            outcome = f"{type(exc).__name__}: {exc}"
+        outcomes.append((case, outcome))
+    with open(os.path.join(out_dir, "outcomes.csv"), "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("case", "outcome"), *outcomes])
+    print(f"wrote {len(outcomes)} cases to {out_dir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -22,8 +22,7 @@ from .state_evolution import SeFixedPoint, SeTrace, fixed_point, predicted_error
 from .amp import AmpConfig, AmpResult, onsager_average, run
 from .rs_potential import OptimalityReport, RsEvaluation, minimize, optimality_check, rs_value
 from .inference import (CredibleIntervals, DiscoveryResult, credible_intervals,
-                        discover, mse_beta, mse_sigma, normal_cdf,
-                        normal_quantile, pvalues)
+                        discover, mse_beta, mse_sigma, pvalues)
 from .laplacian import LapConfig, LapFit, fit, graph_laplacian, tune
 
 __all__ = [
@@ -37,6 +36,6 @@ __all__ = [
     "AmpConfig", "AmpResult", "onsager_average", "run",
     "OptimalityReport", "RsEvaluation", "minimize", "optimality_check", "rs_value",
     "CredibleIntervals", "DiscoveryResult", "credible_intervals", "discover",
-    "mse_beta", "mse_sigma", "normal_cdf", "normal_quantile", "pvalues",
+    "mse_beta", "mse_sigma", "pvalues",
     "LapConfig", "LapFit", "fit", "graph_laplacian", "tune",
 ]

@@ -17,18 +17,20 @@ All CSVs use ',' separators, '.' decimals, UTF-8 and LF line endings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .amp import AmpConfig, run
 from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
-                          ReplicateFailures, builtin_spec, load_spec_file,
-                          run_experiment)
+                          ReplicateFailures, _lap_grid, builtin_spec,
+                          load_spec_file, run_experiment)
 from .inference import mse_beta as pred_error_of
 from .laplacian import fit, tune
 from .priors import PriorSpec, QuadratureRule
-from .rs_potential import minimize
+from .rs_potential import coincide, minimize
 from .state_evolution import fixed_point, se_run
 from .synth import ModelParams, generate, load_dataset, save_dataset
+
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -55,6 +57,20 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--lam", type=float, default=3.0, help="graph SNR")
     p.add_argument("--Delta", type=float, default=1.0, help="noise variance")
     p.add_argument("--design", choices=("gaussian", "bernoulli"), default="gaussian")
+
+
+def _run_spec(spec: ExperimentSpec, args) -> int:
+    """run_experiment with progress on stderr; exit status 1 on ReplicateFailures."""
+    try:
+        paths = run_experiment(spec, args.out, threads=args.threads,
+                               overwrite=args.overwrite,
+                               progress=lambda s: print(f"  {s}", file=sys.stderr))
+    except ReplicateFailures as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for path in paths.values():
+        print(f"wrote {path}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -176,11 +192,9 @@ def main(argv=None) -> int:
             delta = v if args.sweep == "Delta" else args.Delta
             fp = fixed_point(prior, lam, args.kappa, delta, quad=quad)
             ev = minimize(prior, lam, args.kappa, delta, quad=quad, uninformative=fp)
-            coincide = (abs(fp.mu_star - ev.mu_bar) <= 1e-4
-                        and abs(fp.xi_star - ev.xi_bar) <= 1e-4)
             sink.add(sweep_value=v, mu_bar=ev.mu_bar, xi_bar=ev.xi_bar,
                      mi=ev.value, mu_star=fp.mu_star, xi_star=fp.xi_star,
-                     coincide=int(coincide))
+                     coincide=int(coincide(fp, ev)))
         sink.write()
         print(f"wrote {sink.path}")
         return 0
@@ -194,20 +208,10 @@ def main(argv=None) -> int:
                               design=args.design, replicates=args.replicates,
                               base_seed=args.seed, T=args.T,
                               quad_order=args.quad_order, alpha=args.alpha)
-        try:
-            paths = run_experiment(spec, args.out, threads=args.threads,
-                                   overwrite=args.overwrite,
-                                   progress=lambda s: print(f"  {s}", file=sys.stderr))
-        except ReplicateFailures as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {paths[pipeline]}")
-        return 0
+        return _run_spec(spec, args)
 
     if args.cmd == "baseline-lap":
         ds = load_dataset(args.data)
-        from .experiments import _lap_grid
-
         cfg = tune(ds, _lap_grid(ds), seed=args.seed)
         res = fit(ds, cfg)
         pe = pred_error_of(ds.Phi, res.beta, ds.beta0)
@@ -229,19 +233,8 @@ def main(argv=None) -> int:
         except ValueError:
             spec = load_spec_file(args.spec)
         if args.seed:
-            import dataclasses
-
             spec = dataclasses.replace(spec, base_seed=args.seed)
-        try:
-            paths = run_experiment(spec, args.out, threads=args.threads,
-                                   overwrite=args.overwrite,
-                                   progress=lambda s: print(f"  {s}", file=sys.stderr))
-        except ReplicateFailures as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for pl, path in paths.items():
-            print(f"wrote {path}")
-        return 0
+        return _run_spec(spec, args)
 
     return 1
 

@@ -18,6 +18,7 @@ import dataclasses
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .amp import AmpConfig, run
 from .inference import credible_intervals, discover, pvalues
 from .laplacian import LapConfig, fit, tune
 from .priors import PriorSpec, QuadratureRule
-from .rs_potential import minimize
+from .rs_potential import coincide, minimize
 from .state_evolution import fixed_point, predicted_errors, se_run
 from .synth import ModelParams, generate, with_delta
 
@@ -37,7 +38,78 @@ __all__ = ["ExperimentSpec", "run_experiment", "builtin_spec", "BUILTIN_NAMES",
 
 SCHEMA_VERSION = "netamp-csv-1"
 
-VALID_PIPELINES = ("amp", "se", "mi", "fdr", "coverage", "baseline", "universality")
+
+# ---------------------------------------------------------------------------
+# pipelines: the row each replicate unit makes, and what each CSV holds
+
+
+def _amp_row(spec, ds, res, trace):
+    return {"overlap": float(res.overlap[spec.T]),
+            "mse_beta": float(res.mse_beta[spec.T]),
+            "pred_error": float(res.pred_error[spec.T])}
+
+
+def _fdr_row(spec, ds, res, trace):
+    pv = pvalues(res.sigma_iter, float(trace.nu[spec.T]))
+    d = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0)
+    # textbook step-up threshold recorded alongside for comparison
+    d_up = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0, variant="step-up")
+    return {"alpha": spec.alpha, "fdp": d.empirical_fdp, "tdp": d.empirical_tdp,
+            "n_rejected": len(d.rejected), "fdp_stepup": d_up.empirical_fdp,
+            "tdp_stepup": d_up.empirical_tdp}
+
+
+def _coverage_row(spec, ds, res, trace):
+    ci = credible_intervals(res.sigma_iter, float(trace.eta[spec.T]),
+                            float(trace.nu[spec.T]), spec.alpha, truth=ds.sigma0)
+    return {"alpha": spec.alpha, "coverage": ci.empirical_coverage}
+
+
+def _universality_row(spec, ds, res, trace):
+    sur = run(ds, spec.prior(), ds.params,
+              AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
+                        record_history=False), se_trace=trace)
+    o_sbm, o_sur = float(res.overlap[spec.T]), float(sur.overlap[spec.T])
+    return {"overlap_sbm": o_sbm, "overlap_surrogate": o_sur, "gap": abs(o_sbm - o_sur)}
+
+
+def _baseline_row(spec, ds, cfg):
+    res = fit(ds, cfg)
+    r = ds.Phi @ (res.beta - ds.beta0)
+    return {"pred_error": float(r @ r) / spec.n, "lambda1": cfg.lambda1,
+            "lambda2": cfg.lambda2, "converged": int(res.converged)}
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    columns: tuple[str, ...]                 # after (lambda, Delta)
+    averaged: tuple[str, ...] = ()           # get mean/stderr rows; replicate pipelines only
+    amp_row: Callable | None = None          # row from the shared sbm-mode AMP run
+
+
+# every pipeline, in CSV and failure-trailer order
+_PIPELINES = {
+    "se": _Pipeline(("t", "eta", "nu", "tau", "mu", "xi", "mu_star", "xi_star",
+                     "residual")),
+    "mi": _Pipeline(("mu_bar", "xi_bar", "mi", "mu_star", "xi_star", "coincide")),
+    "amp": _Pipeline(("replicate", "overlap", "mse_beta", "pred_error",
+                      "se_overlap_pred", "se_pred_error"),
+                     ("overlap", "mse_beta", "pred_error"), _amp_row),
+    "baseline": _Pipeline(("replicate", "pred_error", "lambda1", "lambda2", "converged"),
+                          ("pred_error",)),
+    "fdr": _Pipeline(("replicate", "alpha", "fdp", "tdp", "n_rejected", "fdp_stepup",
+                      "tdp_stepup"),
+                     ("fdp", "tdp", "n_rejected", "fdp_stepup", "tdp_stepup"), _fdr_row),
+    "coverage": _Pipeline(("replicate", "alpha", "coverage"), ("coverage",), _coverage_row),
+    "universality": _Pipeline(("replicate", "overlap_sbm", "overlap_surrogate", "gap"),
+                              ("overlap_sbm", "overlap_surrogate", "gap"),
+                              _universality_row),
+}
+VALID_PIPELINES = tuple(_PIPELINES)
+# pipelines with one unit per (lambda, Delta, seed)
+REPLICATE_PIPELINES = tuple(pl for pl, d in _PIPELINES.items() if d.averaged)
+# pipelines that read the one sbm-mode AMP run of their (lambda, Delta, seed)
+AMP_PIPELINES = tuple(pl for pl, d in _PIPELINES.items() if d.amp_row)
 
 
 @dataclass(frozen=True)
@@ -225,81 +297,29 @@ class CsvSink:
                 fh.write(",".join(self._fmt(v) for v in row) + "\n")
 
 
-def _aggregate(sink: CsvSink, group_cols: list[str], value_cols: list[str],
-               label_col: str = "replicate"):
-    """Append mean and stderr rows per group, recomputed from the data rows."""
-    idx = {c: sink.columns.index(c) for c in sink.columns}
+def _aggregate(sink: CsvSink, value_cols: tuple[str, ...]):
+    """Append mean and stderr rows per (lambda, Delta), recomputed from the data rows."""
     groups: dict[tuple, list] = {}
-    for row in sink.rows:
-        key = tuple(row[idx[c]] for c in group_cols)
-        groups.setdefault(key, []).append(row)
-    for key, rows in groups.items():
-        for stat in ("mean", "stderr"):
-            out = {c: "" for c in sink.columns}
-            for c, v in zip(group_cols, key):
-                out[c] = v
-            out[label_col] = stat
-            for c in value_cols:
-                vals = np.array([r[idx[c]] for r in rows if r[idx[c]] != ""], float)
-                if len(vals) == 0:
-                    continue
-                if stat == "mean":
-                    out[c] = float(vals.mean())
-                else:
-                    out[c] = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            sink.add(**out)
+    for row in sink.rows:                        # every row starts with lambda, Delta
+        groups.setdefault(tuple(row[:2]), []).append(row)
+    for (lam, delta), rows in groups.items():
+        vals = {c: np.array([r[sink.columns.index(c)] for r in rows], float)
+                for c in value_cols}
+        sink.add(**{"lambda": lam, "Delta": delta, "replicate": "mean"},
+                 **{c: float(v.mean()) for c, v in vals.items()})
+        sink.add(**{"lambda": lam, "Delta": delta, "replicate": "stderr"},
+                 **{c: float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
+                    for c, v in vals.items()})
 
 
 # ---------------------------------------------------------------------------
 # replicate jobs (top level so a process pool can pickle them)
-
-# pipelines with one unit per (lambda, Delta, seed), in CSV and trailer order
-REPLICATE_PIPELINES = ("amp", "baseline", "fdr", "coverage", "universality")
-# pipelines that read the one sbm-mode AMP run of their (lambda, Delta, seed)
-AMP_PIPELINES = ("amp", "fdr", "coverage", "universality")
 
 
 def _make_params(spec: ExperimentSpec, lam: float, delta: float) -> ModelParams:
     return ModelParams.from_snr(n=spec.n, p=spec.p, Delta=delta, b_p=spec.b_p,
                                 lam=lam, prior=spec.prior(),
                                 design_dist=spec.design)
-
-
-def _amp_row(spec, ds, res, trace):
-    return (float(res.overlap[spec.T]), float(res.mse_beta[spec.T]),
-            float(res.pred_error[spec.T]))
-
-
-def _fdr_row(spec, ds, res, trace):
-    pv = pvalues(res.sigma_iter, float(trace.nu[spec.T]))
-    d = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0)
-    # textbook step-up threshold recorded alongside for comparison
-    d_up = discover(pv, spec.rho, spec.alpha, truth=ds.sigma0, variant="step-up")
-    return (d.empirical_fdp, d.empirical_tdp, len(d.rejected),
-            d_up.empirical_fdp, d_up.empirical_tdp)
-
-
-def _coverage_row(spec, ds, res, trace):
-    ci = credible_intervals(res.sigma_iter, float(trace.eta[spec.T]),
-                            float(trace.nu[spec.T]), spec.alpha, truth=ds.sigma0)
-    return (ci.empirical_coverage,)
-
-
-def _universality_row(spec, ds, res, trace):
-    sur = run(ds, spec.prior(), ds.params,
-              AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
-                        record_history=False), se_trace=trace)
-    return (float(res.overlap[spec.T]), float(sur.overlap[spec.T]))
-
-
-def _baseline_row(spec, ds, cfg):
-    res = fit(ds, cfg)
-    r = ds.Phi @ (res.beta - ds.beta0)
-    return (float(r @ r) / spec.n, res.converged)
-
-
-_AMP_ROWS = {"amp": _amp_row, "fdr": _fdr_row, "coverage": _coverage_row,
-             "universality": _universality_row}
 
 
 def _failure(exc: Exception) -> tuple[str, str]:
@@ -345,7 +365,7 @@ def _replicate_job(args) -> dict:
                        AmpConfig(T=spec.T, record_history=False), se_trace=trace)
         for pl in amp_pls:
             units[(pl, delta)] = (ran if ran[0] == "err" else
-                                  _attempt(_AMP_ROWS[pl], spec, ds, ran[1], trace))
+                                  _attempt(_PIPELINES[pl].amp_row, spec, ds, ran[1], trace))
     return units
 
 
@@ -390,7 +410,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
     (lambda, seed) is one job: one draw, re-noised for each other Delta, and
     one AMP run per Delta that every AMP pipeline reads.  The baseline's tuning
     runs first, one job per (lambda, Delta).  With threads > 1 all jobs share
-    one process pool; otherwise they run in this process.
+    one process pool; otherwise they run in this process.  The CSVs are then
+    written in pipeline order, one (lambda, Delta) group at a time.
     """
     quad = QuadratureRule.gauss_hermite(spec.quad_order)
     prior = spec.prior()
@@ -399,7 +420,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
     meta = {"experiment": spec.name, "seeds": f"{seeds[0]}..{seeds[-1]}",
             "spec": dataclasses.asdict(spec)}
     say = progress if progress is not None else (lambda s: None)
-    written: dict[str, str] = {}
+    # every output is claimed before any work, so an existing file fails fast
+    sinks = {pl: CsvSink(os.path.join(out_dir, f"{spec.name}_{pl}.csv"),
+                         ["lambda", "Delta", *decl.columns], meta, overwrite)
+             for pl, decl in _PIPELINES.items() if pl in spec.pipelines}
 
     traces = {}
     if any(pl in spec.pipelines for pl in AMP_PIPELINES + ("se",)):
@@ -416,41 +440,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
         if (lam, delta) not in fixed_points:
             fixed_points[(lam, delta)] = fixed_point(prior, lam, kappa, delta, quad=quad)
         return fixed_points[(lam, delta)]
-
-    if "se" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_se.csv"),
-                       ["lambda", "Delta", "t", "eta", "nu", "tau", "mu", "xi",
-                        "mu_star", "xi_star", "residual"], meta, overwrite)
-        for (lam, delta), tr in traces.items():
-            fp = fp_at(lam, delta)
-            for t in range(len(tr)):
-                sink.add(**{"lambda": lam, "Delta": delta, "t": t,
-                            "eta": float(tr.eta[t]), "nu": float(tr.nu[t]),
-                            "tau": float(tr.tau[t]), "mu": float(tr.mu[t]),
-                            "xi": float(tr.xi[t])})
-            sink.add(**{"lambda": lam, "Delta": delta, "t": "fixed_point",
-                        "mu_star": fp.mu_star, "xi_star": fp.xi_star,
-                        "residual": fp.residual})
-        sink.write()
-        written["se"] = sink.path
-
-    if "mi" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_mi.csv"),
-                       ["lambda", "Delta", "mu_bar", "xi_bar", "mi",
-                        "mu_star", "xi_star", "coincide"], meta, overwrite)
-        for lam in spec.lambdas:
-            for delta in spec.deltas:
-                say(f"mi lam={lam} Delta={delta}")
-                fp = fp_at(lam, delta)
-                ev = minimize(prior, lam, kappa, delta, quad=quad, uninformative=fp)
-                coincide = (abs(fp.mu_star - ev.mu_bar) <= 1e-4
-                            and abs(fp.xi_star - ev.xi_bar) <= 1e-4)
-                sink.add(**{"lambda": lam, "Delta": delta, "mu_bar": ev.mu_bar,
-                            "xi_bar": ev.xi_bar, "mi": ev.value,
-                            "mu_star": fp.mu_star, "xi_star": fp.xi_star,
-                            "coincide": int(coincide)})
-        sink.write()
-        written["mi"] = sink.path
 
     pls = [pl for pl in REPLICATE_PIPELINES if pl in spec.pipelines]
     tune_keys = ([(lam, delta) for lam in spec.lambdas for delta in spec.deltas]
@@ -478,94 +467,48 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
 
     failures: list[tuple[int, str]] = []    # (seed, message) per failed unit
 
-    def replicates(pl, lam, delta):
-        """(seed, row) of the group's successful units; records the failed ones."""
-        ok = []
+    def rows(pl, lam, delta) -> list[dict]:
+        """Pipeline pl's rows at (lam, Delta), keyed by column name."""
+        if pl == "se":
+            tr, fp = traces[(lam, delta)], fp_at(lam, delta)
+            return [*({"t": t, "eta": float(tr.eta[t]), "nu": float(tr.nu[t]),
+                       "tau": float(tr.tau[t]), "mu": float(tr.mu[t]),
+                       "xi": float(tr.xi[t])} for t in range(len(tr))),
+                    {"t": "fixed_point", "mu_star": fp.mu_star,
+                     "xi_star": fp.xi_star, "residual": fp.residual}]
+        if pl == "mi":
+            say(f"mi lam={lam} Delta={delta}")
+            fp = fp_at(lam, delta)
+            ev = minimize(prior, lam, kappa, delta, quad=quad, uninformative=fp)
+            return [{"mu_bar": ev.mu_bar, "xi_bar": ev.xi_bar, "mi": ev.value,
+                     "mu_star": fp.mu_star, "xi_star": fp.xi_star,
+                     "coincide": int(coincide(fp, ev))}]
+        se_cols = {}
+        if pl == "amp":
+            _, beta_pred = predicted_errors(fp_at(lam, delta), prior, lam, delta)
+            se_cols = {"se_overlap_pred": float(traces[(lam, delta)].nu[spec.T + 1] ** 2),
+                       "se_pred_error": beta_pred}
+        elif pl == "baseline":
+            tuned[(lam, delta)].result()         # raises if this tune failed
+        group = []
         for seed in seeds:
             status, value = units[(pl, lam, delta, seed)]
             if status == "ok":
-                ok.append((seed, value))
+                group.append({"replicate": seed, **value, **se_cols})
             else:
                 failures.append((seed, value))
-        return ok
+        return group
 
-    if "amp" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_amp.csv"),
-                       ["lambda", "Delta", "replicate", "overlap", "mse_beta",
-                        "pred_error", "se_overlap_pred", "se_pred_error"],
-                       meta, overwrite)
+    written: dict[str, str] = {}
+    for pl, sink in sinks.items():
         for lam in spec.lambdas:
             for delta in spec.deltas:
-                tr = traces[(lam, delta)]
-                _, beta_pred = predicted_errors(fp_at(lam, delta), prior, lam, delta)
-                ov_pred = float(tr.nu[spec.T + 1] ** 2)
-                for seed, (ov, mb, pe) in replicates("amp", lam, delta):
-                    sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
-                                "overlap": ov, "mse_beta": mb, "pred_error": pe,
-                                "se_overlap_pred": ov_pred,
-                                "se_pred_error": beta_pred})
-        _aggregate(sink, ["lambda", "Delta"], ["overlap", "mse_beta", "pred_error"])
+                for row in rows(pl, lam, delta):
+                    sink.add(**{"lambda": lam, "Delta": delta, **row})
+        if _PIPELINES[pl].averaged:
+            _aggregate(sink, _PIPELINES[pl].averaged)
         sink.write()
-        written["amp"] = sink.path
-
-    if "baseline" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_baseline.csv"),
-                       ["lambda", "Delta", "replicate", "pred_error", "lambda1",
-                        "lambda2", "converged"], meta, overwrite)
-        for lam in spec.lambdas:
-            for delta in spec.deltas:
-                cfg = tuned[(lam, delta)].result()
-                for seed, (pe, conv) in replicates("baseline", lam, delta):
-                    sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
-                                "pred_error": pe, "lambda1": cfg.lambda1,
-                                "lambda2": cfg.lambda2, "converged": int(conv)})
-        _aggregate(sink, ["lambda", "Delta"], ["pred_error"])
-        sink.write()
-        written["baseline"] = sink.path
-
-    if "fdr" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_fdr.csv"),
-                       ["lambda", "Delta", "replicate", "alpha", "fdp", "tdp",
-                        "n_rejected", "fdp_stepup", "tdp_stepup"], meta, overwrite)
-        for lam in spec.lambdas:
-            for delta in spec.deltas:
-                for seed, (fdp, tdp, nrej, fdp_up, tdp_up) in replicates("fdr", lam, delta):
-                    sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
-                                "alpha": spec.alpha, "fdp": fdp, "tdp": tdp,
-                                "n_rejected": nrej, "fdp_stepup": fdp_up,
-                                "tdp_stepup": tdp_up})
-        _aggregate(sink, ["lambda", "Delta"],
-                   ["fdp", "tdp", "n_rejected", "fdp_stepup", "tdp_stepup"])
-        sink.write()
-        written["fdr"] = sink.path
-
-    if "coverage" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_coverage.csv"),
-                       ["lambda", "Delta", "replicate", "alpha", "coverage"],
-                       meta, overwrite)
-        for lam in spec.lambdas:
-            for delta in spec.deltas:
-                for seed, (cov,) in replicates("coverage", lam, delta):
-                    sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
-                                "alpha": spec.alpha, "coverage": cov})
-        _aggregate(sink, ["lambda", "Delta"], ["coverage"])
-        sink.write()
-        written["coverage"] = sink.path
-
-    if "universality" in spec.pipelines:
-        sink = CsvSink(os.path.join(out_dir, f"{spec.name}_universality.csv"),
-                       ["lambda", "Delta", "replicate", "overlap_sbm",
-                        "overlap_surrogate", "gap"], meta, overwrite)
-        for lam in spec.lambdas:
-            for delta in spec.deltas:
-                for seed, (o_sbm, o_sur) in replicates("universality", lam, delta):
-                    sink.add(**{"lambda": lam, "Delta": delta, "replicate": seed,
-                                "overlap_sbm": o_sbm, "overlap_surrogate": o_sur,
-                                "gap": abs(o_sbm - o_sur)})
-        _aggregate(sink, ["lambda", "Delta"],
-                   ["overlap_sbm", "overlap_surrogate", "gap"])
-        sink.write()
-        written["universality"] = sink.path
+        written[pl] = sink.path
 
     if failures:
         total = len(pls) * len(spec.lambdas) * len(spec.deltas) * len(seeds)

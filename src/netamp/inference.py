@@ -23,65 +23,10 @@ __all__ = [
     "pvalues",
     "discover",
     "credible_intervals",
-    "normal_cdf",
-    "normal_quantile",
 ]
 
 
-# ---------------------------------------------------------------------------
-# normal cdf / quantile
-
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def normal_cdf(x):
-    """Standard normal cdf via the complementary error function."""
-    if np.isscalar(x):
-        return 0.5 * math.erfc(-x / _SQRT2)
-    x = np.asarray(x, dtype=float)
-    from scipy.special import erfc
-
-    return 0.5 * erfc(-x / _SQRT2)
-
-
-# Acklam's rational approximation to the normal quantile (relative error
-# below 1.15e-9 on (0,1)), sharpened here by one Newton step on the cdf.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(q: float) -> float:
-    if q < _P_LOW:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / \
-               ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    if q > 1.0 - _P_LOW:
-        return -_acklam(1.0 - q)
-    u = q - 0.5
-    r = u * u
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * u / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal cdf; q must lie strictly inside (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile defined on the open interval (0, 1)")
-    x = _acklam(q)
-    # one Newton refinement: x <- x - (Phi(x) - q) / phi(x)
-    err = normal_cdf(x) - q
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if pdf > 0.0:
-        x -= err / pdf
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +178,10 @@ def credible_intervals(sigma_iter: np.ndarray, eta_t: float, nu_t: float,
         raise ValueError("uninformative iteration; intervals undefined")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
+    from scipy.special import ndtri
+
     center = np.asarray(sigma_iter, float) / eta_t
-    half = (nu_t / eta_t) * (0.0 if alpha == 1.0 else normal_quantile(1.0 - alpha / 2.0))
+    half = (nu_t / eta_t) * float(ndtri(1.0 - alpha / 2.0))
     lower, upper = center - half, center + half
     coverage = None
     if truth is not None:

@@ -29,15 +29,14 @@ import numpy as np
 from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, mmse_pair, scalar_mi
 from .state_evolution import SeFixedPoint, fixed_point
 
-__all__ = ["RsEvaluation", "OptimalityReport", "rs_value", "minimize", "optimality_check"]
+__all__ = ["RsEvaluation", "OptimalityReport", "rs_value", "minimize", "coincide",
+           "optimality_check"]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search rectangle and resolution for the coarse grid stage."""
+    """Resolution of the coarse grid stage."""
 
-    mu_max: float | None = None      # default: lam * rho
-    xi_max: float | None = None      # default: E[B^2] / Delta
     n_mu: int = 40
     n_xi: int = 40
 
@@ -155,8 +154,8 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
     Delta, quad=quad)``, passed in so that it is not solved twice.
     """
     rho = prior.rho
-    mu_hi = grid.mu_max if grid.mu_max is not None else max(lam * rho, 1e-8)
-    xi_hi = grid.xi_max if grid.xi_max is not None else max(prior.second_moment_b() / Delta, 1e-8)
+    mu_hi = max(lam * rho, 1e-8)
+    xi_hi = max(prior.second_moment_b() / Delta, 1e-8)
     # small headroom so boundary minima are not clipped by the search box
     mu_box, xi_box = 1.02 * mu_hi, 1.02 * xi_hi
 
@@ -204,19 +203,21 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
                         candidates=tuple(candidates))
 
 
+def coincide(fp: SeFixedPoint, ev: RsEvaluation) -> bool:
+    """Whether the fixed point and the potential's minimizer agree within 1e-4 in mu and xi."""
+    return abs(fp.mu_star - ev.mu_bar) <= 1e-4 and abs(fp.xi_star - ev.xi_bar) <= 1e-4
+
+
 def optimality_check(prior: PriorSpec, lam: float, kappa: float, Delta: float,
-                     tol_match: float = 1e-4,
                      quad: QuadratureRule = DEFAULT_QUAD) -> OptimalityReport:
     """Compare the iterative fixed point with the potential's global minimizer."""
     fp = fixed_point(prior, lam, kappa, Delta, quad=quad)
     ev = minimize(prior, lam, kappa, Delta, quad=quad, uninformative=fp)
-    coincide = (abs(fp.mu_star - ev.mu_bar) <= tol_match
-                and abs(fp.xi_star - ev.xi_bar) <= tol_match)
     if lam > 0:
         mmse_pred = prior.rho**2 - (ev.mu_bar / lam) ** 2
     else:
         mmse_pred = prior.rho**2
     y_mmse_pred = Delta * ev.xi_bar / (1.0 + ev.xi_bar)
     return OptimalityReport(fixed_point=fp, mu_bar=ev.mu_bar, xi_bar=ev.xi_bar,
-                            mi=ev.value, coincide=coincide,
+                            mi=ev.value, coincide=coincide(fp, ev),
                             mmse_pred=mmse_pred, y_mmse_pred=y_mmse_pred)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,16 @@ def _sample_graph(rng: np.random.Generator, sigma0: np.ndarray,
             counts[i + 1] = hit.size
             cols.append(hit + (i + 1))
             off += width
+    return _symmetric_from_upper(counts, cols)
+
+
+def _symmetric_from_upper(counts: np.ndarray, cols: list[np.ndarray]) -> sp.csr_array:
+    """A + A^T for the 0/1 upper triangle A whose row i holds counts[i + 1] edges.
+
+    ``cols`` are the edges' columns, row after row and ascending within a row;
+    the indices are int32 when the edge count fits.
+    """
+    p = counts.size - 1
     indptr = np.cumsum(counts)
     idx_dtype = sp.get_index_dtype(maxval=max(p, int(indptr[-1])))
     indices = np.concatenate(cols, dtype=idx_dtype)
@@ -292,11 +303,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     np.save(os.path.join(out_dir, "beta0.npy"), dataset.beta0)
     np.save(os.path.join(out_dir, "phi.npy"), dataset.Phi)
     np.save(os.path.join(out_dir, "y.npy"), dataset.y)
-    edges = dataset.edge_list()
-    with open(os.path.join(out_dir, "edges.csv"), "w") as fh:
-        fh.write("i,j\n")
-        for i, j in edges:
-            fh.write(f"{i},{j}\n")
+    np.savetxt(os.path.join(out_dir, "edges.csv"), dataset.edge_list(), fmt="%d",
+               delimiter=",", header="i,j", comments="")
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -324,16 +332,13 @@ def load_dataset(in_dir) -> Dataset:
     beta0 = np.load(os.path.join(in_dir, "beta0.npy"))
     Phi = np.load(os.path.join(in_dir, "phi.npy"))
     y = np.load(os.path.join(in_dir, "y.npy"))
-    rows, cols = [], []
-    with open(os.path.join(in_dir, "edges.csv")) as fh:
-        next(fh)
-        for line in fh:
-            i, j = line.strip().split(",")
-            rows.append(int(i))
-            cols.append(int(j))
-    p = params.p
-    upper = sp.coo_array((np.ones(len(rows)), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-                         shape=(p, p))
-    adj = (upper + upper.T).tocsr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # an edgeless graph's file has no rows
+        edges = np.loadtxt(os.path.join(in_dir, "edges.csv"), dtype=np.int64,
+                           delimiter=",", skiprows=1, ndmin=2).reshape(-1, 2)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    counts = np.zeros(params.p + 1, dtype=np.int64)
+    counts[1:] = np.bincount(edges[:, 0], minlength=params.p)
+    adj = _symmetric_from_upper(counts, [edges[:, 1]])
     return Dataset(params=params, seed=int(kv["seed"]), sigma0=sigma0,
                    beta0=beta0, Phi=Phi, y=y, adjacency=adj)

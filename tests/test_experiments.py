@@ -97,6 +97,30 @@ class TestSmokeSpec:
         assert len(rows_a) == 2 * 3 + 2 * 2      # replicates plus mean/stderr rows
 
 
+    def test_csv_headers(self, tmp_path):
+        spec = ExperimentSpec(name="all", pipelines=("universality", "coverage", "fdr",
+                                                     "baseline", "amp", "mi", "se"),
+                              n=60, p=60, rho=0.3, b_p=6.0, lambdas=(1.0,),
+                              deltas=(1.0,), replicates=1, T=3, quad_order=21)
+        paths = run_experiment(spec, str(tmp_path))
+        rep = ["lambda", "Delta", "replicate"]
+        assert {pl: read_csv(path)[1] for pl, path in paths.items()} == {
+            "se": ["lambda", "Delta", "t", "eta", "nu", "tau", "mu", "xi",
+                   "mu_star", "xi_star", "residual"],
+            "mi": ["lambda", "Delta", "mu_bar", "xi_bar", "mi", "mu_star",
+                   "xi_star", "coincide"],
+            "amp": rep + ["overlap", "mse_beta", "pred_error", "se_overlap_pred",
+                          "se_pred_error"],
+            "baseline": rep + ["pred_error", "lambda1", "lambda2", "converged"],
+            "fdr": rep + ["alpha", "fdp", "tdp", "n_rejected", "fdp_stepup",
+                          "tdp_stepup"],
+            "coverage": rep + ["alpha", "coverage"],
+            "universality": rep + ["overlap_sbm", "overlap_surrogate", "gap"],
+        }
+        assert list(paths) == ["se", "mi", "amp", "baseline", "fdr", "coverage",
+                               "universality"]
+
+
 class TestSpecs:
     def test_builtin_names_complete(self):
         for name in BUILTIN_NAMES:
@@ -185,6 +209,25 @@ class TestSpecs:
             assert meta["failed_replicates"] == expected
             kept = [r for r in rows if r[2] not in ("mean", "stderr")]
             assert len(kept) == 2 * 22
+
+    def test_failed_tune_raises_at_the_baseline_csv(self, tmp_path, monkeypatch):
+        import netamp.experiments as ex
+
+        real_generate = ex.generate
+
+        def flaky_generate(params, seed):
+            if seed == 2:              # the tuning draw, at base_seed + replicates
+                raise RuntimeError("no tuning draw")
+            return real_generate(params, seed)
+
+        monkeypatch.setattr(ex, "generate", flaky_generate)
+        spec = ExperimentSpec(name="tune", pipelines=("fdr", "baseline", "amp", "mi", "se"),
+                              n=60, p=60, rho=0.3, b_p=6.0, lambdas=(1.0,),
+                              deltas=(1.0,), replicates=2, T=3, quad_order=21)
+        with pytest.raises(RuntimeError, match="no tuning draw") as ei:
+            ex.run_experiment(spec, str(tmp_path))
+        assert type(ei.value) is RuntimeError
+        assert sorted(os.listdir(tmp_path)) == ["tune_amp.csv", "tune_mi.csv", "tune_se.csv"]
 
     def test_spec_file_round_trip(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -4,41 +4,7 @@ import numpy as np
 import pytest
 
 from netamp.inference import (credible_intervals, discover, mse_beta, mse_sigma,
-                              normal_cdf, normal_quantile, pvalues)
-
-
-class TestNormal:
-    def test_cdf_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_cdf_reference_values(self):
-        from scipy.stats import norm
-
-        for x in (-8.0, -2.5, -0.3, 0.7, 1.96, 6.0):
-            assert abs(normal_cdf(x) - norm.cdf(x)) <= 1e-14
-
-    def test_quantile_reference(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trip(self, rng):
-        qs = rng.random(1000) * 0.9998 + 0.0001
-        for q in qs:
-            assert abs(normal_cdf(normal_quantile(float(q))) - q) <= 1e-9
-
-    def test_quantile_vs_scipy(self, rng):
-        from scipy.special import ndtri
-
-        qs = np.concatenate([rng.random(200), [1e-12, 1e-6, 0.5, 1 - 1e-6]])
-        for q in qs:
-            q = float(min(max(q, 1e-15), 1 - 1e-15))
-            ref = float(ndtri(q))
-            assert abs(normal_quantile(q) - ref) <= 1e-9 * max(1.0, abs(ref))
-
-    def test_quantile_domain(self):
-        for q in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
-                normal_quantile(q)
+                              pvalues)
 
 
 class TestErrorMetrics:
@@ -234,3 +200,8 @@ class TestCredibleIntervals:
     def test_uninformative_raises(self):
         with pytest.raises(ValueError, match="uninformative"):
             credible_intervals(np.zeros(3), 0.0, 0.5, 0.1)
+
+    def test_alpha_domain(self):
+        for alpha in (0.0, -0.1, 1.3):
+            with pytest.raises(ValueError, match="alpha"):
+                credible_intervals(np.zeros(3), 0.5, 0.5, alpha)

@@ -291,7 +291,19 @@ class TestRoundTrip:
         assert np.array_equal(ds.beta0, back.beta0)
         assert np.array_equal(ds.Phi, back.Phi)
         assert np.array_equal(ds.y, back.y)
-        assert (ds.adjacency != back.adjacency).nnz == 0
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(back.adjacency, attr), getattr(ds.adjacency, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
         assert back.params.lam == ds.params.lam
         assert back.params.prior == ds.params.prior
         assert back.seed == 9
+
+    def test_save_load_edgeless(self, tmp_path):
+        params = ModelParams.from_snr(n=20, p=3, Delta=0.5, b_p=1e-9, lam=0.0,
+                                      prior=spike_slab(0.3, [1.0]))
+        ds = generate(params, 1)
+        assert ds.adjacency.nnz == 0
+        save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / "edges.csv").read_text() == "i,j\n"
+        back = load_dataset(tmp_path / "d")
+        assert back.adjacency.shape == (3, 3) and back.adjacency.nnz == 0
