@@ -4,12 +4,19 @@ Subcommands map one-to-one onto the library surface:
 
     generate      draw a dataset and write it to a directory
     amp-run       run the estimator on a stored dataset, write per-iteration CSV
-    se-solve      state-evolution trace + fixed point CSV
-    mi-curve      sweep the limiting mutual information over lambda or Delta
-    fdr-sim       replicate loop for FDP/TDP at a given level
-    coverage-sim  replicate loop for credible-interval coverage
+    se-solve      state-evolution trace + fixed point (the harness's se CSV)
+    mi-curve      limiting mutual information over a lambda x Delta grid (mi CSV)
+    fdr-sim       replicate loop for FDP/TDP at a given level (fdr CSV)
+    coverage-sim  replicate loop for credible-interval coverage (coverage CSV)
     baseline-lap  tuned Laplacian-penalized baseline on a stored dataset
+                  (one row of the harness's baseline CSV)
     experiment    run a built-in or file-defined experiment spec
+
+se-solve, mi-curve, fdr-sim and coverage-sim build an experiment spec from
+their arguments and run it through the experiment harness, which writes
+<out>/<subcommand>_<pipeline>.csv; --lam and --Delta take comma-separated
+grids.  amp-run writes the one CSV the harness has no pipeline for, the
+per-iteration history <out>/amp_run.csv.
 
 All CSVs use ',' separators, '.' decimals, UTF-8 and LF line endings.
 """
@@ -22,14 +29,13 @@ import sys
 
 from .amp import AmpConfig, run
 from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
-                          ReplicateFailures, _lap_grid, builtin_spec,
-                          load_spec_file, run_experiment)
-from .inference import mse_beta as pred_error_of
-from .laplacian import fit, tune
-from .priors import PriorSpec, QuadratureRule
-from .rs_potential import coincide, minimize
-from .state_evolution import fixed_point, se_run
-from .synth import ModelParams, generate, load_dataset, save_dataset
+                          ReplicateFailures, _baseline_row, _lap_grid,
+                          _make_params, builtin_spec, floats, load_spec_file,
+                          pipeline_sink, run_experiment)
+from .laplacian import tune
+from .priors import QuadratureRule
+from .state_evolution import se_run
+from .synth import generate, load_dataset, save_dataset
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -42,21 +48,33 @@ def _add_common(p: argparse.ArgumentParser):
                    help="replace existing output files")
 
 
-def _prior_from_args(args) -> PriorSpec:
-    slab = tuple(float(v) for v in args.slab.split(","))
-    return PriorSpec(rho=args.rho, atoms0=((0.0, 1.0),),
-                     atoms1=tuple((v, 1.0 / len(slab)) for v in slab))
+def _add_family_args(p: argparse.ArgumentParser):
+    p.add_argument("--rho", type=float, default=0.7)
+    p.add_argument("--slab", type=floats, default="-1,1", help="comma-separated slab atoms")
+    p.add_argument("--lam", type=floats, default="3.0", help="graph SNR grid, comma-separated")
+    p.add_argument("--Delta", type=floats, default="1.0",
+                   help="noise variance grid, comma-separated")
 
 
 def _add_model_args(p: argparse.ArgumentParser):
+    _add_family_args(p)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--p", type=int, default=2000)
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument("--slab", default="-1,1", help="comma-separated slab atoms")
     p.add_argument("--b-p", type=float, default=0.7, dest="b_p")
-    p.add_argument("--lam", type=float, default=3.0, help="graph SNR")
-    p.add_argument("--Delta", type=float, default=1.0, help="noise variance")
     p.add_argument("--design", choices=("gaussian", "bernoulli"), default="gaussian")
+
+
+def _spec(args, *pipelines: str, **fields) -> ExperimentSpec:
+    """The ExperimentSpec that a subcommand's model-family arguments name.
+
+    The subcommands that draw data (generate, fdr-sim, coverage-sim) also
+    give the design's n, p, b_p and distribution.
+    """
+    if "n" in args:
+        fields.update(n=args.n, p=args.p, b_p=args.b_p, design=args.design)
+    return ExperimentSpec(name=args.cmd, pipelines=pipelines, rho=args.rho,
+                          slab=args.slab, lambdas=args.lam, deltas=args.Delta,
+                          base_seed=args.seed, quad_order=args.quad_order, **fields)
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:
@@ -92,20 +110,12 @@ def main(argv=None) -> int:
     s = sub.add_parser("se-solve", help="state evolution trace + fixed point")
     s.add_argument("--kappa", type=float, default=1.0)
     s.add_argument("--T", type=int, default=50)
-    s.add_argument("--rho", type=float, default=0.7)
-    s.add_argument("--slab", default="-1,1")
-    s.add_argument("--lam", type=float, default=3.0)
-    s.add_argument("--Delta", type=float, default=1.0)
+    _add_family_args(s)
     _add_common(s)
 
-    m = sub.add_parser("mi-curve", help="limiting mutual information sweep")
-    m.add_argument("--sweep", choices=("lambda", "Delta"), required=True)
-    m.add_argument("--values", required=True, help="comma-separated sweep grid")
+    m = sub.add_parser("mi-curve", help="limiting mutual information over a grid")
     m.add_argument("--kappa", type=float, default=1.0)
-    m.add_argument("--rho", type=float, default=0.7)
-    m.add_argument("--slab", default="-1,1")
-    m.add_argument("--lam", type=float, default=3.0, help="fixed lambda (Delta sweep)")
-    m.add_argument("--Delta", type=float, default=1.0, help="fixed Delta (lambda sweep)")
+    _add_family_args(m)
     _add_common(m)
 
     for name, help_ in (("fdr-sim", "FDP/TDP replicate loop"),
@@ -126,14 +136,12 @@ def main(argv=None) -> int:
     _add_common(e)
 
     args = ap.parse_args(argv)
-    quad = QuadratureRule.gauss_hermite(args.quad_order) if hasattr(args, "quad_order") else None
 
     if args.cmd == "generate":
-        prior = _prior_from_args(args)
-        params = ModelParams.from_snr(n=args.n, p=args.p, Delta=args.Delta,
-                                      b_p=args.b_p, lam=args.lam, prior=prior,
-                                      design_dist=args.design)
-        ds = generate(params, args.seed)
+        spec = _spec(args)
+        if len(spec.lambdas) > 1 or len(spec.deltas) > 1:
+            ap.error("generate draws one dataset: give one --lam and one --Delta")
+        ds = generate(_make_params(spec, *spec.lambdas, *spec.deltas), args.seed)
         save_dataset(ds, args.out)
         print(f"dataset written to {args.out} "
               f"(support fraction {ds.sigma0.mean():.3f}, edges {ds.edge_list().shape[0]})")
@@ -142,6 +150,7 @@ def main(argv=None) -> int:
     if args.cmd == "amp-run":
         ds = load_dataset(args.data)
         prior = ds.params.prior
+        quad = QuadratureRule.gauss_hermite(args.quad_order)
         trace = se_run(prior, ds.params.lam, ds.params.kappa, ds.params.Delta,
                        T=args.T + 1, quad=quad)
         res = run(ds, prior, ds.params,
@@ -164,66 +173,26 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "se-solve":
-        prior = _prior_from_args(args)
-        trace = se_run(prior, args.lam, args.kappa, args.Delta, T=args.T, quad=quad)
-        fp = fixed_point(prior, args.lam, args.kappa, args.Delta, quad=quad)
-        sink = CsvSink(f"{args.out}/se_solve.csv",
-                       ["t", "eta", "nu", "tau", "mu", "xi"],
-                       {"lambda": args.lam, "Delta": args.Delta,
-                        "kappa": args.kappa}, args.overwrite)
-        for t in range(len(trace)):
-            sink.add(t=t, eta=float(trace.eta[t]), nu=float(trace.nu[t]),
-                     tau=float(trace.tau[t]), mu=float(trace.mu[t]),
-                     xi=float(trace.xi[t]))
-        sink.add(t="fixed_point", eta=fp.mu_star, nu=fp.xi_star, tau=fp.residual)
-        sink.write()
-        print(f"wrote {sink.path}; (mu*, xi*) = ({fp.mu_star:.6g}, {fp.xi_star:.6g})")
-        return 0
+        return _run_spec(_spec(args, "se", kappa_mi=args.kappa, T=args.T, replicates=1), args)
 
     if args.cmd == "mi-curve":
-        prior = _prior_from_args(args)
-        values = [float(v) for v in args.values.split(",")]
-        sink = CsvSink(f"{args.out}/mi_curve.csv",
-                       ["sweep_value", "mu_bar", "xi_bar", "mi",
-                        "mu_star", "xi_star", "coincide"],
-                       {"sweep": args.sweep, "kappa": args.kappa}, args.overwrite)
-        for v in values:
-            lam = v if args.sweep == "lambda" else args.lam
-            delta = v if args.sweep == "Delta" else args.Delta
-            fp = fixed_point(prior, lam, args.kappa, delta, quad=quad)
-            ev = minimize(prior, lam, args.kappa, delta, quad=quad, uninformative=fp)
-            sink.add(sweep_value=v, mu_bar=ev.mu_bar, xi_bar=ev.xi_bar,
-                     mi=ev.value, mu_star=fp.mu_star, xi_star=fp.xi_star,
-                     coincide=int(coincide(fp, ev)))
-        sink.write()
-        print(f"wrote {sink.path}")
-        return 0
+        return _run_spec(_spec(args, "mi", kappa_mi=args.kappa, replicates=1), args)
 
     if args.cmd in ("fdr-sim", "coverage-sim"):
-        slab = tuple(float(v) for v in args.slab.split(","))
         pipeline = "fdr" if args.cmd == "fdr-sim" else "coverage"
-        spec = ExperimentSpec(name=args.cmd, pipelines=(pipeline,), n=args.n,
-                              p=args.p, rho=args.rho, slab=slab, b_p=args.b_p,
-                              lambdas=(args.lam,), deltas=(args.Delta,),
-                              design=args.design, replicates=args.replicates,
-                              base_seed=args.seed, T=args.T,
-                              quad_order=args.quad_order, alpha=args.alpha)
-        return _run_spec(spec, args)
+        return _run_spec(_spec(args, pipeline, replicates=args.replicates, T=args.T,
+                               alpha=args.alpha), args)
 
     if args.cmd == "baseline-lap":
         ds = load_dataset(args.data)
         cfg = tune(ds, _lap_grid(ds), seed=args.seed)
-        res = fit(ds, cfg)
-        pe = pred_error_of(ds.Phi, res.beta, ds.beta0)
-        sink = CsvSink(f"{args.out}/baseline_lap.csv",
-                       ["t", "overlap", "mse_beta", "pred_error",
-                        "se_overlap_pred", "se_pred_error"],
-                       {"data": args.data, "lambda1": cfg.lambda1,
-                        "lambda2": cfg.lambda2}, args.overwrite)
-        d = res.beta - ds.beta0
-        sink.add(t=0, mse_beta=float(d @ d) / ds.params.p, pred_error=pe)
+        row = _baseline_row(ds, cfg)
+        sink = pipeline_sink(f"{args.out}/baseline_lap.csv", "baseline",
+                             {"data": args.data}, args.overwrite)
+        sink.add(**{"lambda": ds.params.lam, "Delta": ds.params.Delta,
+                    "replicate": ds.seed, **row})
         sink.write()
-        print(f"wrote {sink.path}; prediction error {pe:.4f} "
+        print(f"wrote {sink.path}; prediction error {row['pred_error']:.4f} "
               f"(lambda1={cfg.lambda1:.4g}, lambda2={cfg.lambda2:.4g})")
         return 0
 

@@ -73,10 +73,10 @@ def _universality_row(spec, ds, res, trace):
     return {"overlap_sbm": o_sbm, "overlap_surrogate": o_sur, "gap": abs(o_sbm - o_sur)}
 
 
-def _baseline_row(spec, ds, cfg):
+def _baseline_row(ds, cfg):
     res = fit(ds, cfg)
     r = ds.Phi @ (res.beta - ds.beta0)
-    return {"pred_error": float(r @ r) / spec.n, "lambda1": cfg.lambda1,
+    return {"pred_error": float(r @ r) / ds.params.n, "lambda1": cfg.lambda1,
             "lambda2": cfg.lambda2, "converged": int(res.converged)}
 
 
@@ -145,6 +145,8 @@ class ExperimentSpec:
             problems.append("every Delta must be positive")
         if not all(lam >= 0 for lam in self.lambdas):
             problems.append("lambdas must be nonnegative")
+        if any(len(set(grid)) < len(grid) for grid in (self.lambdas, self.deltas)):
+            problems.append("sweep grids must not repeat a value")
         if self.n < 1 or self.p < 1:
             problems.append("n and p must be positive")
         if not 0.0 < self.rho < 1.0:
@@ -219,6 +221,11 @@ def builtin_spec(name: str) -> ExperimentSpec:
     return _BUILTIN_SPECS[name]
 
 
+def floats(s) -> tuple[float, ...]:
+    """Parse a comma-separated list of floats, skipping empty entries."""
+    return tuple(float(x) for x in str(s).split(",") if str(x).strip())
+
+
 def load_spec_file(path: str) -> ExperimentSpec:
     """Parse a flat key = value spec file with [experiment] and [model] sections."""
     import configparser
@@ -228,9 +235,6 @@ def load_spec_file(path: str) -> ExperimentSpec:
         cp.read_file(fh)
     exp = cp["experiment"]
     model = cp["model"] if cp.has_section("model") else {}
-
-    def floats(s):
-        return tuple(float(x) for x in str(s).split(",") if str(x).strip())
 
     kwargs: dict = {
         "name": exp.get("name", os.path.basename(path)),
@@ -297,6 +301,11 @@ class CsvSink:
                 fh.write(",".join(self._fmt(v) for v in row) + "\n")
 
 
+def pipeline_sink(path: str, pl: str, meta: dict, overwrite: bool) -> CsvSink:
+    """A CsvSink with the columns of pipeline pl's harness CSV."""
+    return CsvSink(path, ["lambda", "Delta", *_PIPELINES[pl].columns], meta, overwrite)
+
+
 def _aggregate(sink: CsvSink, value_cols: tuple[str, ...]):
     """Append mean and stderr rows per (lambda, Delta), recomputed from the data rows."""
     groups: dict[tuple, list] = {}
@@ -357,7 +366,7 @@ def _replicate_job(args) -> dict:
             units.update({(pl, delta): _failure(exc) for pl in pls})
             continue
         if "baseline" in pls and cfgs[delta] is not None:
-            units[("baseline", delta)] = _attempt(_baseline_row, spec, ds, cfgs[delta])
+            units[("baseline", delta)] = _attempt(_baseline_row, ds, cfgs[delta])
         if not amp_pls:
             continue
         trace = traces[delta]
@@ -421,9 +430,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
             "spec": dataclasses.asdict(spec)}
     say = progress if progress is not None else (lambda s: None)
     # every output is claimed before any work, so an existing file fails fast
-    sinks = {pl: CsvSink(os.path.join(out_dir, f"{spec.name}_{pl}.csv"),
-                         ["lambda", "Delta", *decl.columns], meta, overwrite)
-             for pl, decl in _PIPELINES.items() if pl in spec.pipelines}
+    sinks = {pl: pipeline_sink(os.path.join(out_dir, f"{spec.name}_{pl}.csv"), pl, meta,
+                               overwrite)
+             for pl in _PIPELINES if pl in spec.pipelines}
 
     traces = {}
     if any(pl in spec.pipelines for pl in AMP_PIPELINES + ("se",)):

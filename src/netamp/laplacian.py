@@ -13,6 +13,7 @@ is the comparison point for the message-passing approach.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -124,7 +125,7 @@ def fit(dataset: Dataset, config: LapConfig) -> LapFit:
     return LapFit(beta=beta, converged=converged, n_iter=it, objective=obj)
 
 
-def tune(dataset: Dataset, grid, holdout: float = 0.2, seed: int = 0) -> LapConfig:
+def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
     """Pick the grid config with the lowest prediction error on a holdout split.
 
     ``grid`` is an iterable of LapConfig (or (lambda1, lambda2) pairs); ties
@@ -137,12 +138,9 @@ def tune(dataset: Dataset, grid, holdout: float = 0.2, seed: int = 0) -> LapConf
         raise ValueError("grid must be nonempty")
     n = dataset.params.n
     rng = np.random.default_rng(seed)
-    n_hold = max(1, int(round(holdout * n)))
+    n_hold = max(1, int(round(0.2 * n)))
     hold = np.zeros(n, dtype=bool)
     hold[rng.choice(n, size=n_hold, replace=False)] = True
-
-    import dataclasses
-
     train = dataclasses.replace(dataset, Phi=dataset.Phi[~hold], y=dataset.y[~hold])
     best_cfg, best_err = None, math.inf
     for cfg in grid:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from netamp.cli import main as cli_main
-from netamp.experiments import (BUILTIN_NAMES, ExperimentSpec, builtin_spec,
-                                load_spec_file, run_experiment)
+from netamp.experiments import (_PIPELINES, BUILTIN_NAMES, ExperimentSpec,
+                                builtin_spec, load_spec_file, run_experiment)
+from netamp.priors import QuadratureRule
+from netamp.state_evolution import fixed_point
 
 
 def read_csv(path):
@@ -143,6 +145,8 @@ class TestSpecs:
         (dict(deltas=(0.0, 1.0)), "every Delta must be positive"),
         (dict(deltas=(-1.0, 1.0)), "every Delta must be positive"),
         (dict(lambdas=(-1.0,)), "lambdas must be nonnegative"),
+        (dict(lambdas=(1.0, 1.0)), "sweep grids must not repeat a value"),
+        (dict(deltas=(0.5, 1.0, 0.5)), "sweep grids must not repeat a value"),
     ])
     def test_sweep_values_rejected(self, grid, frag):
         with pytest.raises(ValueError, match="invalid experiment spec: " + frag):
@@ -271,26 +275,44 @@ class TestCli:
         rc = cli_main(["baseline-lap", "--data", data, "--out", out])
         assert rc == 0
         _, header_b, rows_b = read_csv(os.path.join(out, "baseline_lap.csv"))
-        assert header_b == header
-        assert rows_b[0][header_b.index("se_overlap_pred")] == ""
+        assert header_b == ["lambda", "Delta", *_PIPELINES["baseline"].columns]
+        assert [r[:3] for r in rows_b] == [["2.0", "1.0", "3"]]
+
+    def test_generate_takes_one_point(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli_main(["generate", "--n", "50", "--p", "50", "--lam", "1,2",
+                      "--out", str(tmp_path)])
+        assert os.listdir(tmp_path) == []
 
     def test_se_solve_and_mi_curve(self, tmp_path):
-        out = str(tmp_path / "se")
+        out = str(tmp_path / "cli")
         rc = cli_main(["se-solve", "--rho", "0.5", "--slab=-1,1",
                        "--lam", "2.0", "--Delta", "1.0", "--T", "12",
-                       "--out", out])
-        assert rc == 0
-        _, header, rows = read_csv(os.path.join(out, "se_solve.csv"))
-        assert rows[-1][0] == "fixed_point"
-
-        rc = cli_main(["mi-curve", "--sweep", "Delta", "--values", "1.0,2.0",
-                       "--rho", "0.5", "--slab=-1,1", "--lam", "1.0",
                        "--quad-order", "21", "--out", out])
         assert rc == 0
-        _, header, rows = read_csv(os.path.join(out, "mi_curve.csv"))
-        assert header[0] == "sweep_value"
+        _, header, rows = read_csv(os.path.join(out, "se-solve_se.csv"))
+        assert header == ["lambda", "Delta", *_PIPELINES["se"].columns]
+        assert [r[2] for r in rows] == [str(t) for t in range(14)] + ["fixed_point"]
+        got = dict(zip(header, rows[-1]))
+        fp = fixed_point(ExperimentSpec(name="x", pipelines=(), rho=0.5).prior(),
+                         2.0, 1.0, 1.0, quad=QuadratureRule.gauss_hermite(21))
+        assert (got["mu_star"], got["xi_star"], got["residual"]) == (
+            repr(fp.mu_star), repr(fp.xi_star), repr(fp.residual))
+        assert got["eta"] == got["nu"] == got["tau"] == ""
+
+        rc = cli_main(["mi-curve", "--lam", "0,1", "--Delta", "1,2",
+                       "--rho", "0.5", "--slab=-1,1", "--quad-order", "21",
+                       "--out", out])
+        assert rc == 0
+        spec = ExperimentSpec(name="mi-curve", pipelines=("mi",), rho=0.5,
+                              lambdas=(0.0, 1.0), deltas=(1.0, 2.0), kappa_mi=1.0,
+                              replicates=1, quad_order=21)
+        harness = run_experiment(spec, str(tmp_path / "harness"))["mi"]
+        _, header, rows = read_csv(os.path.join(out, "mi-curve_mi.csv"))
+        assert len(rows) == 4
+        assert (header, rows) == read_csv(harness)[1:]
         mis = [float(r[header.index("mi")]) for r in rows]
-        assert mis[0] > mis[1]          # MI decreasing in Delta
+        assert mis[0] > mis[1]          # MI decreasing in Delta at lambda = 0
 
     def test_experiment_subcommand(self, tmp_path):
         rc = cli_main(["experiment", "smoke", "--out", str(tmp_path)])
