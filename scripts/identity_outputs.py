@@ -17,14 +17,26 @@ Each case's outcome ("ok", or the type and message of what the harness
 raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
 when ``python scripts/same_csvs.py OUT_A OUT_B`` reports 0 differing and
 0 missing.
+
+BLAS is pinned to one thread before numpy is imported, as in
+``bench/worker.py``: byte identity is defined at one BLAS thread.  At some
+shapes a plain matrix-vector product already depends on the thread count
+(for a Gaussian 1500 x 1500 ``Phi``, ``Phi @ v`` and ``Phi.T @ v`` differ in
+3 and 4 of their 1500 entries between one and two OpenBLAS threads), so
+the same code can give other bits at another thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import os
-import sys
+
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import contextlib  # noqa: E402
+import csv  # noqa: E402
+import sys  # noqa: E402
 
 
 def _all_pipelines(name: str, **kw) -> dict:

@@ -64,17 +64,21 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--design", choices=("gaussian", "bernoulli"), default="gaussian")
 
 
-def _spec(args, *pipelines: str, **fields) -> ExperimentSpec:
+def _spec(ap: argparse.ArgumentParser, args, *pipelines: str, **fields) -> ExperimentSpec:
     """The ExperimentSpec that a subcommand's model-family arguments name.
 
     The subcommands that draw data (generate, fdr-sim, coverage-sim) also
-    give the design's n, p, b_p and distribution.
+    give the design's n, p, b_p and distribution.  An invalid spec is a
+    usage error (exit status 2).
     """
     if "n" in args:
         fields.update(n=args.n, p=args.p, b_p=args.b_p, design=args.design)
-    return ExperimentSpec(name=args.cmd, pipelines=pipelines, rho=args.rho,
-                          slab=args.slab, lambdas=args.lam, deltas=args.Delta,
-                          base_seed=args.seed, quad_order=args.quad_order, **fields)
+    try:
+        return ExperimentSpec(name=args.cmd, pipelines=pipelines, rho=args.rho,
+                              slab=args.slab, lambdas=args.lam, deltas=args.Delta,
+                              base_seed=args.seed, quad_order=args.quad_order, **fields)
+    except ValueError as exc:
+        ap.error(str(exc))
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "generate":
-        spec = _spec(args)
+        spec = _spec(ap, args)
         if len(spec.lambdas) > 1 or len(spec.deltas) > 1:
             ap.error("generate draws one dataset: give one --lam and one --Delta")
         ds = generate(_make_params(spec, *spec.lambdas, *spec.deltas), args.seed)
@@ -173,14 +177,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "se-solve":
-        return _run_spec(_spec(args, "se", kappa_mi=args.kappa, T=args.T, replicates=1), args)
+        return _run_spec(_spec(ap, args, "se", kappa_mi=args.kappa, T=args.T, replicates=1), args)
 
     if args.cmd == "mi-curve":
-        return _run_spec(_spec(args, "mi", kappa_mi=args.kappa, replicates=1), args)
+        return _run_spec(_spec(ap, args, "mi", kappa_mi=args.kappa, replicates=1), args)
 
     if args.cmd in ("fdr-sim", "coverage-sim"):
         pipeline = "fdr" if args.cmd == "fdr-sim" else "coverage"
-        return _run_spec(_spec(args, pipeline, replicates=args.replicates, T=args.T,
+        return _run_spec(_spec(ap, args, pipeline, replicates=args.replicates, T=args.T,
                                alpha=args.alpha), args)
 
     if args.cmd == "baseline-lap":
@@ -198,9 +202,10 @@ def main(argv=None) -> int:
 
     if args.cmd == "experiment":
         try:
-            spec = builtin_spec(args.spec)
-        except ValueError:
-            spec = load_spec_file(args.spec)
+            spec = (builtin_spec(args.spec) if args.spec in BUILTIN_NAMES
+                    else load_spec_file(args.spec))
+        except ValueError as exc:
+            ap.error(str(exc))
         if args.seed:
             spec = dataclasses.replace(spec, base_seed=args.seed)
         return _run_spec(spec, args)

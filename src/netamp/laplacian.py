@@ -9,11 +9,16 @@ by proximal gradient with backtracking, where L = D - A is the Laplacian of
 the observed graph.  The quadratic term pulls coefficients of adjacent
 vertices together, which is how the side network enters this estimator; it
 is the comparison point for the message-passing approach.
+
+Each fit is a generator that yields the products with the design it needs
+(``Phi @ v`` or ``Phi.T @ r``), and `_lockstep` serves them.  `tune` runs its
+whole grid in lockstep, so each cache-sized slab of ``Phi`` is read once per
+round for all pending fits instead of once per fit.  A slab product has the
+bits of the full product, so every fit equals the one `fit` gives alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,6 +28,10 @@ import scipy.sparse as sp
 from .synth import Dataset
 
 __all__ = ["LapConfig", "LapFit", "fit", "tune", "graph_laplacian"]
+
+# Rows per slab of a lockstep product: a 64 x 2000 float64 slab (1 MB) stays
+# in L2 while every pending request of the round reads it.
+SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -57,45 +66,106 @@ def _soft_threshold(x: np.ndarray, thr: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
-def _objective(Phi, y, L, beta, lambda1, lambda2) -> float:
-    r = y - Phi @ beta
-    pen = lambda2 * 0.5 * float(beta @ (L @ beta)) if lambda2 > 0 else 0.0
-    return 0.5 * float(r @ r) + lambda1 * float(np.abs(beta).sum()) + pen
+def _slab_bounds(size: int) -> list[tuple[int, int]]:
+    """[i0, i1) ranges of SLAB rows covering range(size).
+
+    A 1-wide tail joins the slab before it: numpy computes a one-row
+    matrix-vector product as a dot product, whose bits can differ from the
+    full product's.
+    """
+    edges = [*range(0, size, SLAB), size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def fit(dataset: Dataset, config: LapConfig) -> LapFit:
-    """Proximal gradient with backtracking line search on the smooth part."""
-    Phi, y = dataset.Phi, dataset.y
-    n, p = Phi.shape
-    L = graph_laplacian(dataset.adjacency) if config.lambda2 > 0 else None
+def _products(Phi: np.ndarray, requests: list[tuple[bool, np.ndarray]]) -> list[np.ndarray]:
+    """Serve one round of (transpose, v) requests: Phi.T @ v or Phi @ v.
+
+    The requests of one kind share each slab of Phi (row slabs for Phi @ v,
+    column slabs for Phi.T @ r) while it is in cache.  A slab product has
+    the bits of the same rows of the full product, so every request gets
+    what a product of its own would give.  A kind requested once gets the
+    full product, which is faster for a single vector.
+    """
+    out: list = [None] * len(requests)
+    for transpose in (False, True):
+        A = Phi.T if transpose else Phi
+        idx = [k for k, (t, _) in enumerate(requests) if t is transpose]
+        if len(idx) == 1:
+            out[idx[0]] = A @ requests[idx[0]][1]
+            continue
+        for k in idx:
+            out[k] = np.empty(A.shape[0])
+        for i0, i1 in _slab_bounds(A.shape[0]):
+            slab = A[i0:i1]
+            for k in idx:
+                np.matmul(slab, requests[k][1], out=out[k][i0:i1])
+    return out
+
+
+def _lockstep(Phi: np.ndarray, gens: list) -> list:
+    """Run generators that yield (transpose, v) requests; their return values.
+
+    Each round serves the pending request of every unfinished generator in
+    one `_products` call and sends each generator its product.
+    """
+    results: list = [None] * len(gens)
+    pending: dict[int, tuple[bool, np.ndarray]] = {}
+
+    def advance(k, product):
+        try:
+            pending[k] = gens[k].send(product)
+        except StopIteration as stop:
+            pending.pop(k, None)
+            results[k] = stop.value
+
+    for k in range(len(gens)):
+        advance(k, None)
+    while pending:
+        keys = list(pending)
+        for k, product in zip(keys, _products(Phi, [pending[k] for k in keys])):
+            advance(k, product)
+    return results
+
+
+def _step_size(p: int, L, lambda2: float):
+    """Generator of the step 1 / (1.05 ||Phi^T Phi + lambda2 L||).
+
+    The Lipschitz constant of the quadratic smooth part comes from power
+    iteration; the 1.05 inflation covers the estimate converging from below.
+    It does not depend on lambda1.
+    """
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(p)
+    nrm = 1.0
+    for _ in range(30):
+        w = yield True, (yield False, v)
+        if L is not None:
+            w = w + lambda2 * (L @ v)
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            break
+        v = w / nrm
+    return 1.0 / (1.05 * nrm) if nrm > 0 else 1.0
+
+
+def _fit_steps(p: int, y: np.ndarray, L, config: LapConfig, step: float):
+    """Generator of one fit: proximal gradient with backtracking line search
+    on the smooth part, started at the power-iteration step."""
 
     def smooth_val_grad(beta):
-        r = Phi @ beta - y
+        r = (yield False, beta) - y
         val = 0.5 * float(r @ r)
-        grad = Phi.T @ r
+        grad = yield True, r
         if L is not None:
             Lb = L @ beta
             val += 0.5 * config.lambda2 * float(beta @ Lb)
             grad = grad + config.lambda2 * Lb
         return val, grad
 
-    # Lipschitz constant of the quadratic smooth part by power iteration;
-    # the 1.05 inflation covers the estimate converging from below.
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(p)
-    nrm = 1.0
-    for _ in range(30):
-        w = Phi.T @ (Phi @ v)
-        if L is not None:
-            w = w + config.lambda2 * (L @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            break
-        v = w / nrm
-    step = 1.0 / (1.05 * nrm) if nrm > 0 else 1.0
-
     beta = np.zeros(p)
-    g_val, grad = smooth_val_grad(beta)
+    g_val, grad = yield from smooth_val_grad(beta)
     converged = False
     testing = True
     eps = float(np.finfo(float).eps)
@@ -107,7 +177,7 @@ def fit(dataset: Dataset, config: LapConfig) -> LapFit:
             cand = _soft_threshold(beta - step * grad, step * config.lambda1)
             diff = cand - beta
             quad = g_val + float(grad @ diff) + float(diff @ diff) / (2.0 * step)
-            cand_val, cand_grad = smooth_val_grad(cand)
+            cand_val, cand_grad = yield from smooth_val_grad(cand)
             if not testing or (np.isfinite(cand_val) and cand_val <= quad):
                 break
             step *= 0.5
@@ -120,9 +190,26 @@ def fit(dataset: Dataset, config: LapConfig) -> LapFit:
         if max_change <= config.tol:
             converged = True
             break
-    obj = _objective(Phi, y, L if L is not None else sp.csr_array((p, p)),
-                     beta, config.lambda1, config.lambda2)
+    r = y - (yield False, beta)
+    pen = config.lambda2 * 0.5 * float(beta @ (L @ beta)) if L is not None else 0.0
+    obj = 0.5 * float(r @ r) + config.lambda1 * float(np.abs(beta).sum()) + pen
     return LapFit(beta=beta, converged=converged, n_iter=it, objective=obj)
+
+
+def _fit_all(Phi: np.ndarray, y: np.ndarray, adjacency, configs: list[LapConfig]) -> list[LapFit]:
+    """Fit every config on (Phi, y) in lockstep, one power iteration per lambda2."""
+    p = Phi.shape[1]
+    L = graph_laplacian(adjacency) if any(c.lambda2 > 0 for c in configs) else None
+    lambda2s = list(dict.fromkeys(c.lambda2 for c in configs))
+    steps = _lockstep(Phi, [_step_size(p, L if l2 > 0 else None, l2) for l2 in lambda2s])
+    step_of = dict(zip(lambda2s, steps))
+    return _lockstep(Phi, [_fit_steps(p, y, L if c.lambda2 > 0 else None, c, step_of[c.lambda2])
+                           for c in configs])
+
+
+def fit(dataset: Dataset, config: LapConfig) -> LapFit:
+    """Proximal gradient with backtracking line search on the smooth part."""
+    return _fit_all(dataset.Phi, dataset.y, dataset.adjacency, [config])[0]
 
 
 def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
@@ -130,7 +217,8 @@ def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
 
     ``grid`` is an iterable of LapConfig (or (lambda1, lambda2) pairs); ties
     resolve to the earliest grid entry.  The split is seeded and stratifies
-    nothing: a uniformly random 20% of rows are held out.
+    nothing: a uniformly random 20% of rows are held out.  The grid is fitted
+    in lockstep on the training rows; each fit equals `fit` on them.
     """
     grid = [g if isinstance(g, LapConfig) else LapConfig(lambda1=g[0], lambda2=g[1])
             for g in grid]
@@ -141,11 +229,11 @@ def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
     n_hold = max(1, int(round(0.2 * n)))
     hold = np.zeros(n, dtype=bool)
     hold[rng.choice(n, size=n_hold, replace=False)] = True
-    train = dataclasses.replace(dataset, Phi=dataset.Phi[~hold], y=dataset.y[~hold])
+    fits = _fit_all(dataset.Phi[~hold], dataset.y[~hold], dataset.adjacency, grid)
+    Phi_hold, y_hold = dataset.Phi[hold], dataset.y[hold]
     best_cfg, best_err = None, math.inf
-    for cfg in grid:
-        res = fit(train, cfg)
-        r = dataset.y[hold] - dataset.Phi[hold] @ res.beta
+    for cfg, res in zip(grid, fits):
+        r = y_hold - Phi_hold @ res.beta
         err = float(r @ r) / n_hold
         if err < best_err - 1e-15:
             best_cfg, best_err = cfg, err

@@ -284,6 +284,23 @@ class TestCli:
                       "--out", str(tmp_path)])
         assert os.listdir(tmp_path) == []
 
+    def test_invalid_spec_is_a_usage_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "bad.ini"
+        spec_file.write_text("[experiment]\npipelines = amp\nreplicates = 0\n")
+        for argv, problem in ((["mi-curve", "--Delta", "1,1"],
+                               "sweep grids must not repeat a value"),
+                              (["fdr-sim", "--rho", "1.5"], "rho must be in (0, 1)"),
+                              (["experiment", str(spec_file)],
+                               "replicates must be at least 1")):
+            out = tmp_path / argv[0]
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid experiment spec" in err and problem in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
     def test_se_solve_and_mi_curve(self, tmp_path):
         out = str(tmp_path / "cli")
         rc = cli_main(["se-solve", "--rho", "0.5", "--slab=-1,1",
