@@ -19,7 +19,7 @@ from .synth import (Dataset, ModelParams, ap_to_snr, centered_adjacency_apply,
                     gaussian_surrogate, generate, load_dataset, save_dataset,
                     snr_to_ap, with_delta)
 from .state_evolution import SeFixedPoint, SeTrace, fixed_point, predicted_errors, se_run
-from .amp import AmpConfig, AmpResult, onsager_average, run
+from .amp import AmpConfig, AmpResult, run
 from .rs_potential import OptimalityReport, RsEvaluation, minimize, optimality_check, rs_value
 from .inference import (CredibleIntervals, DiscoveryResult, credible_intervals,
                         discover, mse_beta, mse_sigma, pvalues)
@@ -33,7 +33,7 @@ __all__ = [
     "gaussian_surrogate", "generate", "load_dataset", "save_dataset", "snr_to_ap",
     "with_delta",
     "SeFixedPoint", "SeTrace", "fixed_point", "predicted_errors", "se_run",
-    "AmpConfig", "AmpResult", "onsager_average", "run",
+    "AmpConfig", "AmpResult", "run",
     "OptimalityReport", "RsEvaluation", "minimize", "optimality_check", "rs_value",
     "CredibleIntervals", "DiscoveryResult", "credible_intervals", "discover",
     "mse_beta", "mse_sigma", "pvalues",

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateChannel, DimensionMismatch, DivergedIteration
+from .errors import DimensionMismatch, DivergedIteration
 from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule,
                      ScalarChannelParams, _posterior_moments, _atom_arrays,
                      _posterior)
 from .state_evolution import SeTrace, se_run
 from .synth import Dataset, ModelParams, centered_adjacency_apply, gaussian_surrogate
 
-__all__ = ["AmpConfig", "AmpResult", "run", "onsager_average"]
+__all__ = ["AmpConfig", "AmpResult", "run"]
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,6 @@ def _zeta_and_partial(x_b, y_sig, ch: ScalarChannelParams, prior: PriorSpec):
     _, mb, _, vb, _ = _posterior_moments(y_sig, x_b, ch, prior)
     gain = 0.0 if math.isinf(ch.tau) else 1.0 / ch.tau**2
     return mb, float(gain * np.mean(vb))
-
-
-def onsager_average(kind: str, x, y, ch: ScalarChannelParams, prior: PriorSpec) -> float:
-    """Average derivative of a denoiser w.r.t. its first positional argument.
-
-    kind "f_partial1": mean over i of df/d(sigma-obs) at (x_i, y_i);
-    kind "zeta_partial1": mean over i of dzeta/d(B-obs) at (x_i, y_i).
-    """
-    if ch.nu == 0.0 or ch.tau == 0.0:
-        raise DegenerateChannel("derivative undefined at exact conditioning")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if kind == "f_partial1":
-        return _f_and_partial(x, y, ch, prior)[1]
-    if kind == "zeta_partial1":
-        return _zeta_and_partial(x, y, ch, prior)[1]
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _check_finite(name: str, arr: np.ndarray, t: int) -> None:

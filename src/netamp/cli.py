@@ -35,7 +35,7 @@ from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
 from .laplacian import tune
 from .priors import QuadratureRule
 from .state_evolution import se_run
-from .synth import generate, load_dataset, save_dataset
+from .synth import Dataset, generate, load_dataset, save_dataset
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -78,6 +78,14 @@ def _spec(ap: argparse.ArgumentParser, args, *pipelines: str, **fields) -> Exper
                               slab=args.slab, lambdas=args.lam, deltas=args.Delta,
                               base_seed=args.seed, quad_order=args.quad_order, **fields)
     except ValueError as exc:
+        ap.error(str(exc))
+
+
+def _load(ap: argparse.ArgumentParser, data: str) -> Dataset:
+    """load_dataset; a missing or malformed dataset is a usage error (exit status 2)."""
+    try:
+        return load_dataset(data)
+    except (OSError, ValueError) as exc:
         ap.error(str(exc))
 
 
@@ -152,7 +160,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "amp-run":
-        ds = load_dataset(args.data)
+        ds = _load(ap, args.data)
         prior = ds.params.prior
         quad = QuadratureRule.gauss_hermite(args.quad_order)
         trace = se_run(prior, ds.params.lam, ds.params.kappa, ds.params.Delta,
@@ -188,7 +196,7 @@ def main(argv=None) -> int:
                                alpha=args.alpha), args)
 
     if args.cmd == "baseline-lap":
-        ds = load_dataset(args.data)
+        ds = _load(ap, args.data)
         cfg = tune(ds, _lap_grid(ds), seed=args.seed)
         row = _baseline_row(ds, cfg)
         sink = pipeline_sink(f"{args.out}/baseline_lap.csv", "baseline",
@@ -204,7 +212,7 @@ def main(argv=None) -> int:
         try:
             spec = (builtin_spec(args.spec) if args.spec in BUILTIN_NAMES
                     else load_spec_file(args.spec))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             ap.error(str(exc))
         if args.seed:
             spec = dataclasses.replace(spec, base_seed=args.seed)

@@ -232,7 +232,12 @@ def load_spec_file(path: str) -> ExperimentSpec:
 
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"spec file {path}: {exc}") from exc
+    if not cp.has_section("experiment"):
+        raise ValueError(f"spec file {path} has no [experiment] section")
     exp = cp["experiment"]
     model = cp["model"] if cp.has_section("model") else {}
 

@@ -83,25 +83,11 @@ class PriorSpec:
         s_max = max(abs(v) for v, _ in self.atoms0 + self.atoms1)
         object.__setattr__(self, "s_max", s_max)
 
-    def is_spike_slab(self) -> bool:
-        """True iff B is exactly 0 under Sigma = 0."""
-        return self.atoms0 == ((0.0, 1.0),)
-
-    def slab_separation(self) -> float:
-        """Minimal |slab atom|; positive separation makes support recovery testable."""
-        if not self.is_spike_slab():
-            raise ValueError("slab separation is defined for spike-slab priors only")
-        return min(abs(v) for v, _ in self.atoms1)
-
     def mean_b(self) -> float:
         return sum(w * b for _, b, w in joint_atoms(self))
 
     def second_moment_b(self) -> float:
         return sum(w * b * b for _, b, w in joint_atoms(self))
-
-    def var_b(self) -> float:
-        m = self.mean_b()
-        return self.second_moment_b() - m * m
 
 
 def spike_slab(rho: float, slab_values, slab_probs=None) -> PriorSpec:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, mmse_pair, scalar_mi
-from .state_evolution import SeFixedPoint, fixed_point
+from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, scalar_mi
+from .state_evolution import SeFixedPoint, _residual, fixed_point
 
 __all__ = ["RsEvaluation", "OptimalityReport", "rs_value", "minimize", "coincide",
            "optimality_check"]
@@ -78,14 +78,6 @@ def rs_value(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
     reg_term = 0.5 * kappa * (math.log1p(xi) - xi / (1.0 + xi))
     return (graph_term + barrier + reg_term - 0.5 * mu * rho
             + scalar_mi(mu, xi, prior, Delta, kappa, quad))
-
-
-def _stationarity_residual(mu, xi, prior, lam, kappa, Delta, quad) -> float:
-    m1, m2 = mmse_pair(mu, xi, prior, Delta, kappa, quad)
-    r_xi = abs(xi - m2 / Delta)
-    if lam == 0.0:
-        return max(abs(mu), r_xi)
-    return max(abs(mu - lam * (prior.rho - m1)), r_xi)
 
 
 def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
@@ -197,7 +189,7 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
         candidates.append((mu, xi, val))
 
     mu_bar, xi_bar, best = min(candidates, key=lambda c: c[2])
-    resid = _stationarity_residual(mu_bar, xi_bar, prior, lam, kappa, Delta, quad)
+    resid = _residual(mu_bar, xi_bar, prior, lam, kappa, Delta, quad)
     return RsEvaluation(mu_bar=mu_bar, xi_bar=xi_bar, value=best,
                         stationarity_residual=resid,
                         candidates=tuple(candidates))

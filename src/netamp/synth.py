@@ -328,10 +328,17 @@ def load_dataset(in_dir) -> Dataset:
                          b_p=float(kv["b_p"]), a_p=float(kv["a_p"]),
                          lam=float(kv["lambda"]), prior=prior,
                          design_dist=kv["design_dist"])
-    sigma0 = np.load(os.path.join(in_dir, "sigma0.npy"))
-    beta0 = np.load(os.path.join(in_dir, "beta0.npy"))
-    Phi = np.load(os.path.join(in_dir, "phi.npy"))
-    y = np.load(os.path.join(in_dir, "y.npy"))
+    def load_finite(name):
+        path = os.path.join(in_dir, name)
+        arr = np.load(path)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path} holds NaN or Inf")
+        return arr
+
+    sigma0 = load_finite("sigma0.npy")
+    beta0 = load_finite("beta0.npy")
+    Phi = load_finite("phi.npy")
+    y = load_finite("y.npy")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # an edgeless graph's file has no rows
         edges = np.loadtxt(os.path.join(in_dir, "edges.csv"), dtype=np.int64,

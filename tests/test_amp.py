@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from netamp.amp import (AmpConfig, _beta_channel, _channel, _f_and_partial,
-                        _zeta_and_partial, onsager_average, run)
-from netamp.errors import DegenerateChannel, DimensionMismatch
+                        _zeta_and_partial, run)
+from netamp.errors import DimensionMismatch
 from netamp.priors import ScalarChannelParams, denoise_beta, denoise_sigma, spike_slab
 from netamp.state_evolution import fixed_point, se_run
 from netamp.synth import (ModelParams, centered_adjacency_apply,
@@ -211,19 +211,21 @@ class TestBehavior:
 
 
 class TestOnsagerAverage:
+    """The memory coefficients `run` takes from `_f_and_partial` and `_zeta_and_partial`."""
+
     def test_constant_denoiser_zero(self, b_indep, rng):
         # B independent of Sigma and eta = 0: f is constant in both arguments
         ch = ScalarChannelParams(eta=0.0, nu=1.0, tau=1.0)
         x, y = rng.normal(size=30), rng.normal(size=30)
-        assert onsager_average("f_partial1", x, y, ch, b_indep) == pytest.approx(0.0, abs=1e-14)
+        assert _f_and_partial(x, y, ch, b_indep)[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_difference(self, pm1, rng):
         ch = ScalarChannelParams(eta=1.1, nu=0.9, tau=1.2)
         x, y = rng.normal(size=40), rng.normal(size=40)
         h = 1e-6
-        for kind, fn, swap in (("f_partial1", denoise_sigma, False),
-                               ("zeta_partial1", denoise_beta, False)):
-            got = onsager_average(kind, x, y, ch, pm1)
+        for partial, fn in ((_f_and_partial, denoise_sigma),
+                            (_zeta_and_partial, denoise_beta)):
+            got = partial(x, y, ch, pm1)[1]
             fd = float(np.mean((fn(x + h, y, ch, pm1) - fn(x - h, y, ch, pm1)) / (2 * h)))
             assert got == pytest.approx(fd, abs=1e-6)
 
@@ -231,17 +233,7 @@ class TestOnsagerAverage:
         ch = ScalarChannelParams(eta=0.5, nu=1.0, tau=0.8)
         for _ in range(5):
             x, y = rng.normal(size=25), rng.normal(size=25)
-            assert onsager_average("zeta_partial1", x, y, ch, five_atom) >= 0.0
-
-    def test_degenerate_raises(self, pm1):
-        with pytest.raises(DegenerateChannel):
-            onsager_average("f_partial1", np.zeros(3), np.zeros(3),
-                            ScalarChannelParams(1.0, 0.0, 1.0), pm1)
-
-    def test_unknown_kind(self, pm1):
-        with pytest.raises(ValueError):
-            onsager_average("nope", np.zeros(3), np.zeros(3),
-                            ScalarChannelParams(1.0, 1.0, 1.0), pm1)
+            assert _zeta_and_partial(x, y, ch, five_atom)[1] >= 0.0
 
 
 class TestStateEvolutionAgreement:

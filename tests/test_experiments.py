@@ -287,17 +287,28 @@ class TestCli:
     def test_invalid_spec_is_a_usage_error(self, tmp_path, capsys):
         spec_file = tmp_path / "bad.ini"
         spec_file.write_text("[experiment]\npipelines = amp\nreplicates = 0\n")
+        no_section = tmp_path / "model_only.ini"
+        no_section.write_text("[model]\nn = 50\n")
+        no_header = tmp_path / "no_header.ini"
+        no_header.write_text("pipelines = amp\n")
+        bad = "invalid experiment spec: "
         for argv, problem in ((["mi-curve", "--Delta", "1,1"],
-                               "sweep grids must not repeat a value"),
-                              (["fdr-sim", "--rho", "1.5"], "rho must be in (0, 1)"),
+                               bad + "sweep grids must not repeat a value"),
+                              (["fdr-sim", "--rho", "1.5"], bad + "rho must be in (0, 1)"),
                               (["experiment", str(spec_file)],
-                               "replicates must be at least 1")):
-            out = tmp_path / argv[0]
+                               bad + "replicates must be at least 1"),
+                              (["experiment", str(tmp_path / "nosuchspec")],
+                               "No such file or directory"),
+                              (["experiment", str(no_section)],
+                               "has no [experiment] section"),
+                              (["experiment", str(no_header)],
+                               "File contains no section headers")):
+            out = tmp_path / "out"
             with pytest.raises(SystemExit) as exc:
                 cli_main([*argv, "--out", str(out)])
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert "invalid experiment spec" in err and problem in err
+            assert problem in err
             assert "Traceback" not in err
             assert not out.exists()
 

@@ -37,6 +37,7 @@ class TestPriorSpec:
         assert weights[(0, 0.0)] == pytest.approx(0.3)
         assert weights[(1, -1.0)] == pytest.approx(0.35)
         assert weights[(1, 1.0)] == pytest.approx(0.35)
+        assert pr.s_max == 1.0
 
     def test_joint_atoms_five_atom(self, five_atom):
         atoms = joint_atoms(five_atom)
@@ -55,12 +56,6 @@ class TestPriorSpec:
             PriorSpec(rho=0.5, atoms0=((0.0, 0.7),), atoms1=((1.0, 1.0),))
         with pytest.raises(ValueError):
             PriorSpec(rho=0.5, atoms0=((0.0, 1.5), (1.0, -0.5)), atoms1=((1.0, 1.0),))
-
-    def test_spike_slab_predicates(self, pm1, b_indep):
-        assert pm1.is_spike_slab()
-        assert pm1.slab_separation() == 1.0
-        assert not b_indep.is_spike_slab()
-        assert pm1.s_max == 1.0
 
     def test_quadrature_rule(self):
         q = QuadratureRule.gauss_hermite(41)
@@ -181,7 +176,7 @@ class TestMmse:
             MMSE2_MC, abs=MMSE2_TOL)
 
     def test_mmse2_approaches_var_b(self, pm1, quad):
-        var_b = pm1.var_b()
+        var_b = pm1.second_moment_b() - pm1.mean_b() ** 2
         vals = [mmse2(0.0, xi, pm1, 1.0, 1.0, quad) for xi in (1.0, 10.0, 100.0, 1000.0)]
         assert all(np.diff(vals) > 0)
         assert vals[-1] == pytest.approx(var_b, rel=2e-2)
@@ -193,7 +188,8 @@ class TestMmse:
             m1 = mmse1(mu, xi, five_atom, 1.0, 1.5, quad)
             m2 = mmse2(mu, xi, five_atom, 1.0, 1.5, quad)
             assert -1e-12 <= m1 <= rho * (1 - rho) + 1e-12
-            assert -1e-12 <= m2 <= five_atom.var_b() + 1e-12
+            var_b = five_atom.second_moment_b() - five_atom.mean_b() ** 2
+            assert -1e-12 <= m2 <= var_b + 1e-12
 
     def test_monotone_in_mu_and_xi(self, five_atom, quad):
         mus = [0.0, 0.3, 1.0, 3.0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from netamp.cli import main as cli_main
 from netamp.priors import spike_slab
 from netamp.synth import (Dataset, ModelParams, _sample_graph, ap_to_snr,
                           centered_adjacency_apply, centered_adjacency_dense,
@@ -307,3 +308,20 @@ class TestRoundTrip:
         assert (tmp_path / "d" / "edges.csv").read_text() == "i,j\n"
         back = load_dataset(tmp_path / "d")
         assert back.adjacency.shape == (3, 3) and back.adjacency.nnz == 0
+
+    def test_non_finite_file_is_rejected(self, tmp_path, capsys):
+        params = ModelParams.from_snr(n=30, p=20, Delta=0.5, b_p=4.0, lam=1.5,
+                                      prior=spike_slab(0.3, [1.0]))
+        data = tmp_path / "d"
+        save_dataset(generate(params, 2), data)
+        y = np.load(data / "y.npy")
+        y[7] = np.nan
+        np.save(data / "y.npy", y)
+        with pytest.raises(ValueError, match="y.npy holds NaN or Inf"):
+            load_dataset(data)
+        for cmd in ("amp-run", "baseline-lap"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([cmd, "--data", str(data), "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "y.npy holds NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
