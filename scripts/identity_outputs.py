@@ -11,7 +11,10 @@ subdirectory of OUT_DIR:
   threads 1 and 2, plus the all-pipeline spec at n != p and with a Bernoulli
   design;
 - a spec in which ``generate`` raises on one replicate seed, and one in which
-  it raises on the baseline's tuning seed, each at threads 1 and 2.
+  it raises on the baseline's tuning seed, each at threads 1 and 2;
+- ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
+  ``netamp amp-run`` and ``netamp baseline-lap`` run on it, so the saved
+  ``edges.csv`` and the CSVs of a loaded dataset join the set.
 
 Each case's outcome ("ok", or the type and message of what the harness
 raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
@@ -67,6 +70,31 @@ def cases(workloads) -> list[tuple[str, dict | str, int, int | None]]:
     return out
 
 
+# the dataset_cli draw: b_p = p / 2, the dense regime of the calibration runs
+DATASET_DRAW = ["--n", "120", "--p", "100", "--rho", "0.3", "--b-p", "50", "--lam", "2",
+                "--Delta", "1", "--seed", "3"]
+
+
+def dataset_cli(cli, case_dir: str) -> None:
+    """Save the DATASET_DRAW dataset, then run amp-run and baseline-lap on it.
+
+    Runs in case_dir with relative paths, so the data path that the CSV
+    headers echo is the same for every checkout.
+    """
+    os.makedirs(case_dir, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(case_dir)
+    try:
+        for argv in (["generate", *DATASET_DRAW, "--out", "data"],
+                     ["amp-run", "--data", "data", "--T", "8", "--out", "."],
+                     ["baseline-lap", "--data", "data", "--out", "."]):
+            status = cli.main([*argv, "--overwrite"])
+            if status:
+                raise RuntimeError(f"netamp {argv[0]} exited with {status}")
+    finally:
+        os.chdir(cwd)
+
+
 @contextlib.contextmanager
 def generate_raising_at(ex, bad_seed: int | None):
     """Make the harness's ``generate`` raise for one seed.
@@ -89,12 +117,27 @@ def generate_raising_at(ex, bad_seed: int | None):
         ex.generate = real
 
 
+def run_spec(ex, spec, case_dir: str, threads: int, bad_seed: int | None) -> None:
+    with generate_raising_at(ex, bad_seed):
+        ex.run_experiment(spec, case_dir, threads=threads, overwrite=True)
+
+
+def outcome(run, *args) -> str:
+    """"ok", or the type and message of what run(*args) raised."""
+    try:
+        run(*args)
+        return "ok"
+    except Exception as exc:        # the outcome is part of the compared output
+        return f"{type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     checkout, out_dir = (os.path.abspath(a) for a in argv)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    import netamp.cli as cli
     import netamp.experiments as ex
     import workloads
 
@@ -106,14 +149,11 @@ def main(argv: list[str]) -> int:
     for case, kw, threads, bad_seed in cases(workloads):
         spec = ex.builtin_spec(kw) if isinstance(kw, str) else ex.ExperimentSpec(**kw)
         print(f"{case}: {spec.name} at threads {threads}", file=sys.stderr)
-        try:
-            with generate_raising_at(ex, bad_seed):
-                ex.run_experiment(spec, os.path.join(out_dir, case), threads=threads,
-                                  overwrite=True)
-            outcome = "ok"
-        except Exception as exc:        # the outcome is part of the compared output
-            outcome = f"{type(exc).__name__}: {exc}"
-        outcomes.append((case, outcome))
+        outcomes.append((case, outcome(run_spec, ex, spec, os.path.join(out_dir, case),
+                                       threads, bad_seed)))
+    print("dataset_cli: generate, amp-run, baseline-lap", file=sys.stderr)
+    outcomes.append(("dataset_cli",
+                     outcome(dataset_cli, cli, os.path.join(out_dir, "dataset_cli"))))
     with open(os.path.join(out_dir, "outcomes.csv"), "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([("case", "outcome"), *outcomes])
     print(f"wrote {len(outcomes)} cases to {out_dir}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,44 +161,78 @@ def _sample_design(rng: np.random.Generator, n: int, p: int, dist: str) -> np.nd
 
 def _sample_graph(rng: np.random.Generator, sigma0: np.ndarray,
                   a_p: float, b_p: float) -> sp.csr_array:
-    """Bernoulli edges over the upper triangle, one row at a time.
+    """Bernoulli edges over the upper triangle, built into the symmetric CSR."""
+    return _symmetric_csr(sigma0.shape[0], _upper_rows(rng, sigma0, a_p, b_p))
+
+
+def _upper_rows(rng: np.random.Generator, sigma0: np.ndarray, a_p: float, b_p: float):
+    """Yield (edges per row, their columns) for each block of upper-triangle rows.
 
     Row i consumes p - 1 - i uniforms, one per pair (i, j > i) in order of
     j; the uniforms of a block of rows come from one ``rng.random`` call,
-    which is the same stream as one call per row.
+    which is the same stream as one call per row.  The block is compared
+    with b_p/p at once, and each row with sigma0_i = 1 again with its own
+    rates.  The columns are int32 when p fits.
     """
     p = sigma0.shape[0]
     pb = b_p / p
     row_prob = np.where(sigma0 == 1.0, a_p / p, pb)   # row i's rates when sigma0_i = 1
-    counts = np.zeros(p + 1, dtype=np.int64)
-    cols = [np.empty(0, dtype=np.intp)]
+    col_dtype = sp.get_index_dtype(maxval=p)
     for start in range(0, p - 1, _GRAPH_ROW_BLOCK):
         stop = min(start + _GRAPH_ROW_BLOCK, p - 1)
-        u = rng.random((stop - start) * (2 * p - 1 - start - stop) // 2)   # sum of p - 1 - i
-        off = 0
-        for i in range(start, stop):
-            width = p - 1 - i
-            rate = row_prob[i + 1:] if sigma0[i] == 1.0 else pb
-            hit = np.flatnonzero(u[off:off + width] < rate)
-            counts[i + 1] = hit.size
-            cols.append(hit + (i + 1))
-            off += width
-    return _symmetric_from_upper(counts, cols)
+        offsets = np.zeros(stop - start + 1, dtype=np.int64)   # row starts within the block
+        np.cumsum(np.arange(p - 1 - start, p - 1 - stop, -1), out=offsets[1:])
+        u = rng.random(int(offsets[-1]))
+        hit = u < pb
+        for k in np.flatnonzero(sigma0[start:stop] == 1.0):
+            row = slice(offsets[k], offsets[k + 1])
+            np.less(u[row], row_prob[start + k + 1:], out=hit[row])
+        pos = np.flatnonzero(hit)
+        n_row = np.diff(np.searchsorted(pos, offsets))
+        # the hit at block offset o of row i is column i + 1 + o - offsets[i - start]
+        shift = np.arange(start + 1, stop + 1) - offsets[:-1]
+        yield n_row, (pos + np.repeat(shift, n_row)).astype(col_dtype)
 
 
-def _symmetric_from_upper(counts: np.ndarray, cols: list[np.ndarray]) -> sp.csr_array:
-    """A + A^T for the 0/1 upper triangle A whose row i holds counts[i + 1] edges.
+def _symmetric_csr(p: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> sp.csr_array:
+    """A + A^T for the p x p 0/1 upper triangle A given by its rows.
 
-    ``cols`` are the edges' columns, row after row and ascending within a row;
-    the indices are int32 when the edge count fits.
+    ``blocks`` yields (edges per row, their columns) for consecutive blocks
+    of rows from row 0, the columns row after row and ascending within a
+    row; rows past the last block have no edges.  Row i of A + A^T is its
+    lower part, the rows k < i whose edges hit column i, followed by A's row
+    i.  The lower parts are filled by scattering the rows in ascending
+    order, so each comes out ascending and the arrays equal those of
+    ``(A + A.T).tocsr()``, index dtype included.  Only the columns and the
+    final arrays are ever held: the columns are dropped before the data
+    array is made.
     """
-    p = counts.size - 1
-    indptr = np.cumsum(counts)
-    idx_dtype = sp.get_index_dtype(maxval=max(p, int(indptr[-1])))
-    indices = np.concatenate(cols, dtype=idx_dtype)
-    upper = sp.csr_array((np.ones(indices.size), indices, indptr.astype(idx_dtype)),
-                         shape=(p, p))
-    return (upper + upper.T).tocsr()
+    counts = np.zeros(p, dtype=np.int64)
+    chunks = [np.empty(0, dtype=sp.get_index_dtype(maxval=p))]
+    row = 0
+    for n_row, block_cols in blocks:
+        counts[row:row + n_row.size] = n_row
+        row += n_row.size
+        chunks.append(block_cols)
+    cols = np.concatenate(chunks)
+    del chunks
+    nnz = 2 * cols.size
+    idx_dtype = sp.get_index_dtype(maxval=max(p, nnz))
+    indptr = np.zeros(p + 1, dtype=idx_dtype)
+    np.cumsum(counts + np.bincount(cols, minlength=p), out=indptr[1:])
+    indices = np.empty(nnz, dtype=idx_dtype)
+    free = indptr[:-1].astype(np.intp)                 # next free lower slot of each row
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts).tolist():
+        begin, end, row_end = int(ends[i] - counts[i]), int(ends[i]), int(indptr[i + 1])
+        indices[row_end - (end - begin):row_end] = cols[begin:end]
+        hits = cols[begin:end].astype(np.intp)         # one conversion for three fancy ops
+        slots = free[hits]
+        indices[slots] = i
+        slots += 1
+        free[hits] = slots
+    del cols
+    return sp.csr_array((np.ones(nnz), indices, indptr), shape=(p, p))
 
 
 def _responses(Phi: np.ndarray, beta0: np.ndarray, seed: int, Delta: float) -> np.ndarray:
@@ -308,10 +343,17 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a directory written by `save_dataset`.
+
+    A header that lacks a key, a payload with NaN or Inf, and an edge row
+    that is not 0 <= i < j < p or repeats a pair each raise a ValueError
+    naming the file.
+    """
     import os
 
+    header = os.path.join(in_dir, "header.txt")
     kv = {}
-    with open(os.path.join(in_dir, "header.txt")) as fh:
+    with open(header) as fh:
         for line in fh:
             if "=" in line:
                 k, v = line.split("=", 1)
@@ -319,15 +361,22 @@ def load_dataset(in_dir) -> Dataset:
     if kv.get("format") != "netamp-dataset-v1":
         raise ValueError(f"unknown dataset format {kv.get('format')!r}")
 
+    def value(key):
+        if key not in kv:
+            raise ValueError(f"{header} has no {key!r} line")
+        return kv[key]
+
     def parse_atoms(s):
         return tuple(tuple(float(t) for t in pair.split(":")) for pair in s.split(";"))
 
-    prior = PriorSpec(rho=float(kv["rho"]), atoms0=parse_atoms(kv["atoms0"]),
-                      atoms1=parse_atoms(kv["atoms1"]))
-    params = ModelParams(n=int(kv["n"]), p=int(kv["p"]), Delta=float(kv["Delta"]),
-                         b_p=float(kv["b_p"]), a_p=float(kv["a_p"]),
-                         lam=float(kv["lambda"]), prior=prior,
-                         design_dist=kv["design_dist"])
+    prior = PriorSpec(rho=float(value("rho")), atoms0=parse_atoms(value("atoms0")),
+                      atoms1=parse_atoms(value("atoms1")))
+    params = ModelParams(n=int(value("n")), p=int(value("p")), Delta=float(value("Delta")),
+                         b_p=float(value("b_p")), a_p=float(value("a_p")),
+                         lam=float(value("lambda")), prior=prior,
+                         design_dist=value("design_dist"))
+    seed = int(value("seed"))
+
     def load_finite(name):
         path = os.path.join(in_dir, name)
         arr = np.load(path)
@@ -339,13 +388,21 @@ def load_dataset(in_dir) -> Dataset:
     beta0 = load_finite("beta0.npy")
     Phi = load_finite("phi.npy")
     y = load_finite("y.npy")
+    edges_path = os.path.join(in_dir, "edges.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # an edgeless graph's file has no rows
-        edges = np.loadtxt(os.path.join(in_dir, "edges.csv"), dtype=np.int64,
-                           delimiter=",", skiprows=1, ndmin=2).reshape(-1, 2)
+        edges = np.loadtxt(edges_path, dtype=np.int64, delimiter=",", skiprows=1,
+                           ndmin=2).reshape(-1, 2)
+    p = params.p
+    bad = np.flatnonzero((edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= p))
+    if bad.size:
+        i, j = edges[bad[0]]
+        raise ValueError(f"{edges_path}: edge ({i}, {j}) is not 0 <= i < j < p = {p}")
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    counts = np.zeros(params.p + 1, dtype=np.int64)
-    counts[1:] = np.bincount(edges[:, 0], minlength=params.p)
-    adj = _symmetric_from_upper(counts, [edges[:, 1]])
-    return Dataset(params=params, seed=int(kv["seed"]), sigma0=sigma0,
+    repeated = np.flatnonzero(np.all(edges[1:] == edges[:-1], axis=1))
+    if repeated.size:
+        i, j = edges[repeated[0]]
+        raise ValueError(f"{edges_path}: edge ({i}, {j}) is repeated")
+    adj = _symmetric_csr(p, [(np.bincount(edges[:, 0], minlength=p), edges[:, 1])])
+    return Dataset(params=params, seed=seed, sigma0=sigma0,
                    beta0=beta0, Phi=Phi, y=y, adjacency=adj)

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +42,12 @@ class TestSnrCalibration:
 
 def naive_sample_graph(rng, sigma0, a_p, b_p):
     """One `rng.random` call and one COO row per upper-triangle row: the
-    reference for `_sample_graph`'s block-drawn CSR."""
+    reference for `_sample_graph`'s block-drawn CSR.
+
+    The COO coordinates have the index dtype scipy picks for p, so the
+    index dtype of the sum is the one scipy picks for the symmetric graph
+    (a scipy sparse array keeps the dtype of int64 coordinates).
+    """
     p = sigma0.shape[0]
     pa, pb = a_p / p, b_p / p
     rows, cols = [], []
@@ -51,8 +58,9 @@ def naive_sample_graph(rng, sigma0, a_p, b_p):
         if hit.any():
             cols.append(j[hit])
             rows.append(np.full(int(hit.sum()), i))
-    r = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-    c = np.concatenate(cols) if cols else np.empty(0, dtype=int)
+    idx = sp.get_index_dtype(maxval=p)
+    r = np.concatenate(rows).astype(idx) if rows else np.empty(0, dtype=idx)
+    c = np.concatenate(cols).astype(idx) if cols else np.empty(0, dtype=idx)
     upper = sp.coo_array((np.ones(len(r)), (r, c)), shape=(p, p))
     return (upper + upper.T).tocsr()
 
@@ -78,9 +86,27 @@ class TestGraphSampler:
                 got = _sample_graph(rng_new, sigma0, fa * p, fb * p)
                 want = naive_sample_graph(rng_ref, sigma0, fa * p, fb * p)
                 for name in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), (name, case)
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (name, case)
                 assert got.shape == (p, p)
                 assert rng_new.random() == rng_ref.random(), case
+
+    def test_peak_memory_near_result(self):
+        """The build holds little beyond its result: the scipy sum
+        ``(upper + upper.T).tocsr()`` peaked at 2.36x the result's bytes here."""
+        p = 1000
+        sigma0 = (np.random.default_rng(5).random(p) < 0.5).astype(float)
+        b_p = p / 2
+        a_p = snr_to_ap(5.0, b_p, p)
+        tracemalloc.start()
+        try:
+            got = _sample_graph(np.random.default_rng(1), sigma0, a_p, b_p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = got.data.nbytes + got.indices.nbytes + got.indptr.nbytes
+        assert got.nnz > 100_000
+        assert peak <= 1.5 * size, peak / size
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +308,9 @@ class TestGaussianSurrogate:
 
 
 class TestRoundTrip:
-    def test_save_load(self, tmp_path, small_params):
-        params = ModelParams.from_snr(n=80, p=60, Delta=0.5, b_p=4.0, lam=1.5,
+    @pytest.mark.parametrize("b_p", [4.0, 30.0])
+    def test_save_load(self, tmp_path, b_p):
+        params = ModelParams.from_snr(n=80, p=60, Delta=0.5, b_p=b_p, lam=1.5,
                                       prior=spike_slab(0.3, [-2.0, 1.0]))
         ds = generate(params, 9)
         save_dataset(ds, tmp_path / "d")
@@ -309,19 +336,35 @@ class TestRoundTrip:
         back = load_dataset(tmp_path / "d")
         assert back.adjacency.shape == (3, 3) and back.adjacency.nnz == 0
 
-    def test_non_finite_file_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit", ["nan_y", "no_rho", "self_loop", "reversed", "repeated"])
+    def test_malformed_dataset_is_rejected(self, tmp_path, capsys, edit):
+        """Each defect raises a ValueError naming its file; the CLI exits 2."""
+        message = {"nan_y": "y.npy holds NaN or Inf",
+                   "no_rho": "header.txt has no 'rho' line",
+                   "self_loop": r"edges.csv: edge \(3, 3\) is not 0 <= i < j < p = 20",
+                   "reversed": r"edges.csv: edge \(9, 2\) is not 0 <= i < j < p = 20",
+                   "repeated": r"edges.csv: edge \(\d+, \d+\) is repeated"}[edit]
         params = ModelParams.from_snr(n=30, p=20, Delta=0.5, b_p=4.0, lam=1.5,
                                       prior=spike_slab(0.3, [1.0]))
         data = tmp_path / "d"
         save_dataset(generate(params, 2), data)
-        y = np.load(data / "y.npy")
-        y[7] = np.nan
-        np.save(data / "y.npy", y)
-        with pytest.raises(ValueError, match="y.npy holds NaN or Inf"):
+        if edit == "nan_y":
+            y = np.load(data / "y.npy")
+            y[7] = np.nan
+            np.save(data / "y.npy", y)
+        elif edit == "no_rho":
+            header = (data / "header.txt").read_text().splitlines(keepends=True)
+            (data / "header.txt").write_text("".join(ln for ln in header
+                                                     if not ln.startswith("rho")))
+        else:
+            lines = (data / "edges.csv").read_text().splitlines(keepends=True)
+            extra = {"self_loop": "3,3\n", "reversed": "9,2\n", "repeated": lines[1]}[edit]
+            (data / "edges.csv").write_text("".join(lines) + extra)
+        with pytest.raises(ValueError, match=message):
             load_dataset(data)
         for cmd in ("amp-run", "baseline-lap"):
             with pytest.raises(SystemExit) as exc:
                 cli_main([cmd, "--data", str(data), "--out", str(tmp_path / "out")])
             assert exc.value.code == 2
-            assert "y.npy holds NaN or Inf" in capsys.readouterr().err
+            assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
