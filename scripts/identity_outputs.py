@@ -10,6 +10,8 @@ subdirectory of OUT_DIR:
 - ``builtin_spec("smoke")`` and a spec with all seven pipelines, each at
   threads 1 and 2, plus the all-pipeline spec at n != p and with a Bernoulli
   design;
+- ``builtin_spec("figure1a")``, the full 4 x 4 (lambda, Delta) grid of the
+  limiting mutual information, at threads 1;
 - a spec in which ``generate`` raises on one replicate seed, and one in which
   it raises on the baseline's tuning seed, each at threads 1 and 2;
 - ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
@@ -66,7 +68,8 @@ def cases(workloads) -> list[tuple[str, dict | str, int, int | None]]:
                 (f"generate_fails_t{threads}", generate_fails, threads, 1),
                 (f"tune_fails_t{threads}", tune_fails, threads, 2)]
     out += [("kappa", _all_pipelines("kappa", n=180), 1, None),
-            ("bernoulli", _all_pipelines("bernoulli", design="bernoulli"), 1, None)]
+            ("bernoulli", _all_pipelines("bernoulli", design="bernoulli"), 1, None),
+            ("figure1a", "figure1a", 1, None)]
     return out
 
 

@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DivergedIteration
 from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule,
-                     ScalarChannelParams, _posterior_moments, _atom_arrays,
-                     _posterior)
+                     ScalarChannelParams, _posterior_moments)
 from .state_evolution import SeTrace, se_run
 from .synth import Dataset, ModelParams, centered_adjacency_apply, gaussian_surrogate
 

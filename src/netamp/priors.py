@@ -25,6 +25,7 @@ so high-SNR channels do not underflow.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,13 +153,57 @@ def _atom_arrays(prior: PriorSpec):
     return sig, b, w
 
 
+class _Workspace(threading.local):
+    """Per-thread scratch memory of the kernels: one growing array per role."""
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+
+
+_WORKSPACE = _Workspace()
+WORKSPACE_MAX_BYTES = 4 << 20
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float array of `shape` for one temporary.
+
+    Each thread keeps one flat array per role, grown to the largest size it
+    has been asked for, and hands out its leading part.  The kernels below
+    write their full-size temporaries into these with ``out=``, so repeated
+    calls at one size allocate nothing: a fresh (K, K, Q, Q) temporary on
+    every call made glibc trim the heap and fault the pages back in on the
+    next call, which doubled the cost of a call.  Requests above
+    WORKSPACE_MAX_BYTES get a fresh array, so a large call is not kept alive.
+    The contents are valid until the next request for the same role in the
+    same thread.
+    """
+    size = math.prod(shape)
+    if 8 * size > WORKSPACE_MAX_BYTES:
+        return np.empty(shape)
+    buf = _WORKSPACE.arrays.get(role)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE.arrays[role] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _half_square(role: str, obs: np.ndarray, centre: np.ndarray, scale: float) -> np.ndarray:
+    """0.5 * ((obs - centre) / scale) ** 2 in the `role` scratch array."""
+    out = _scratch(role, np.broadcast_shapes(obs.shape, centre.shape))
+    np.subtract(obs, centre, out=out)
+    np.divide(out, scale, out=out)
+    np.square(out, out=out)
+    return np.multiply(0.5, out, out=out)
+
+
 def _log_weights(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
     """Log posterior weights over joint atoms, shape (K,) + broadcast(x, y).
 
     The atom sits on the leading axis, where numpy reduces fastest, and each
     channel term is formed on its own operand's shape before the two meet.
     Normalization constants common to all atoms are omitted; they cancel
-    once the weights are normalized.
+    once the weights are normalized.  The result lives in the workspace
+    (see `_scratch`), or is a read-only broadcast of the log prior weights
+    when both channels are dropped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -173,13 +218,16 @@ def _log_weights(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
             logw = np.where(match, logw, -np.inf)
         # eta == nu == 0: factor dropped
     else:
-        logw = logw - 0.5 * ((x - atom(ch.eta * sig, x.ndim)) / ch.nu) ** 2
+        term = _half_square("x_term", x, atom(ch.eta * sig, x.ndim), ch.nu)
+        logw = np.subtract(logw, term, out=term)
 
     if ch.tau == 0.0:
         match = np.abs(y - atom(b, y.ndim)) <= EXACT_TOL
         logw = np.where(match, logw, -np.inf)
     elif not math.isinf(ch.tau):
-        logw = logw - 0.5 * ((y - atom(b, y.ndim)) / ch.tau) ** 2
+        term = _half_square("y_term", y, atom(b, y.ndim), ch.tau)
+        logw = np.subtract(logw, term,
+                           out=_scratch("logw", np.broadcast_shapes(logw.shape, term.shape)))
     # tau == inf: factor dropped
 
     return np.broadcast_to(logw, (len(w),) + shape)
@@ -191,17 +239,19 @@ def _posterior(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
     The weights are normalized over the leading atom axis of `_log_weights`
     and written straight into a contiguous (..., K) array, so the `post @ v`
     products of the callers see the same operand as a last-axis build.
-    Full-size temporaries are reused in place: allocating them costs more
-    than the arithmetic.
+    Every full-size temporary, and the result, is a workspace array (see
+    `_scratch`): the caller must be done with the result before its thread
+    calls another kernel of this module.
     """
     logw = _log_weights(x, y, ch, prior)
-    mx = np.max(logw, axis=0)
+    mx = np.max(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
     if np.any(np.isneginf(mx)):
         raise InconsistentObservation("inconsistent observation")
-    w = logw - mx
+    w = np.subtract(logw, mx, out=_scratch("logw", logw.shape))
     np.exp(w, out=w)
-    post = np.empty(w.shape[1:] + w.shape[:1])
-    np.divide(w, w.sum(axis=0), out=np.moveaxis(post, -1, 0))
+    total = np.sum(w, axis=0, out=mx)
+    post = _scratch("post", w.shape[1:] + w.shape[:1])
+    np.divide(w, total, out=np.moveaxis(post, -1, 0))
     return post
 
 
@@ -297,12 +347,16 @@ def _mmse_channels(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
     Y = b[:, None, None] + (0.0 if not informative_b else tau) * z_b[None, :, None]
 
     post = _posterior(X, Y, ch, prior)
-    fs = post @ sig
-    fb = post @ b
-    wgrid = w[:, None, None] * w_b[None, :, None] * w_sig[None, None, :]
-    m1 = float(np.sum(wgrid * (sig[:, None, None] - fs) ** 2))
-    m2 = float(np.sum(wgrid * (b[:, None, None] - fb) ** 2))
-    return m1, m2
+    wgrid = np.multiply(w[:, None, None] * w_b[None, :, None], w_sig[None, None, :],
+                        out=_scratch("weights", post.shape[:-1]))
+
+    def mse(v):
+        err = np.matmul(post, v, out=_scratch("grid", wgrid.shape))
+        np.subtract(v[:, None, None], err, out=err)
+        np.square(err, out=err)
+        return float(np.sum(np.multiply(wgrid, err, out=err)))
+
+    return mse(sig), mse(b)
 
 
 def _mu_xi_channels(mu: float, xi: float, Delta: float, kappa: float):
@@ -334,38 +388,60 @@ def mmse2(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
     return mmse_pair(mu, xi, prior, Delta, kappa, quad)[1]
 
 
-def scalar_mi(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
-              quad: QuadratureRule = DEFAULT_QUAD) -> float:
+def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
+              quad: QuadratureRule = DEFAULT_QUAD):
     """Mutual information between (Sigma, B) and the pair of scalar observations.
 
     The observations are a = sqrt(mu)*Sigma + Z and
     y = B + sqrt(Delta(1+xi)/kappa)*eps with independent standard normals.
     Computed as the expectation of log [P(a,y|Sigma,B) / P(a,y)]: exact sums
     over atoms outside and inside, quadrature over (Z, eps).
+
+    ``xi`` is a float, which gives a float, or a 1-D array of values at the
+    same mu, which gives an array.  A batch puts its xi on a leading axis of
+    every temporary and rounds each entry exactly as a call at that xi alone:
+    only the B channel depends on xi, so the sigma-channel terms are formed
+    once.  The (batch, K, K, Q, Q) mixture array and the grids live in the
+    workspace (see `_scratch`); keep batches small (`rs_potential` uses 10
+    at order 21, about 1.3 MB for six atoms).
     """
     if quad.order < 21:
         raise ValueError("quadrature order must be at least 21")
-    eta, nu, tau = _mu_xi_channels(mu, xi, Delta, kappa)
+    xis = np.asarray(xi, dtype=float)
+    if xis.ndim > 1:
+        raise ValueError("xi must be a float or a 1-D array")
+    tau = np.array([_mu_xi_channels(mu, x, Delta, kappa)[2] for x in xis.reshape(-1)])
+    eta, nu, _ = _mu_xi_channels(mu, 0.0, Delta, kappa)
     sig, b, w = _atom_arrays(prior)
     zs, wq = quad.nodes, quad.weights
+    batch, k, q = len(tau), len(w), len(zs)
+    tau = tau[:, None, None]
 
     # observation grids given true atom k: a = eta*sig_k + z2, y = b_k + tau*z1,
-    # kept on their own (k, z2) and (k, z1) shapes; the grid is (k, z1, z2)
+    # kept on their own (k, z2) and (batch, k, z1) shapes; the grid is
+    # (batch, k, z1, z2)
     A = eta * sig[:, None] + nu * zs[None, :]
-    Y = b[:, None] + tau * zs[None, :]
+    Y = b[:, None] + tau * zs
 
-    # conditional log-likelihood (constants cancel against the mixture)
-    log_num = ((-0.5 * ((A - eta * sig[:, None]) / nu) ** 2)[:, None, :]
-               - (0.5 * ((Y - b[:, None]) / tau) ** 2)[:, :, None])
-    # mixture over atoms m, on the leading axis of (m, k, z1, z2); the
-    # operands and order of (log w - tA) - tY fix the rounding, which
+    # mixture over atoms m, on axis 1 of (batch, m, k, z1, z2); the operands
+    # and order of (log w - tA) - tY fix the rounding, which
     # tests/test_priors.py pins to a naive last-axis reference
     tA = 0.5 * ((A - (eta * sig)[:, None, None]) / nu) ** 2
-    tY = 0.5 * ((Y - b[:, None, None]) / tau) ** 2
-    logm = (np.log(w)[:, None, None, None] - tA[:, :, None, :]) - tY[:, :, :, None]
-    mx = logm.max(axis=0)
-    logm -= mx                          # in place, as in `_posterior`
-    log_den = mx + np.log(np.sum(np.exp(logm, out=logm), axis=0))
+    tY = 0.5 * ((Y[:, None] - b[:, None, None]) / tau[:, None]) ** 2
+    logm = np.subtract((np.log(w)[:, None, None, None] - tA[:, :, None, :])[None],
+                       tY[..., None], out=_scratch("logw", (batch, k, k, q, q)))
+    mx = np.max(logm, axis=1, out=_scratch("grid", (batch, k, q, q)))
+    np.subtract(logm, mx[:, None], out=logm)
+    log_den = np.sum(np.exp(logm, out=logm), axis=1, out=_scratch("grid2", mx.shape))
+    np.add(mx, np.log(log_den, out=log_den), out=log_den)
 
-    wgrid = w[:, None, None] * wq[None, :, None] * wq[None, None, :]
-    return float(np.sum(wgrid * (log_num - log_den)))
+    # conditional log-likelihood (constants cancel against the mixture),
+    # written over the spent maximum
+    num_a = -0.5 * ((A - eta * sig[:, None]) / nu) ** 2
+    num_y = 0.5 * ((Y - b[:, None]) / tau) ** 2
+    terms = np.subtract(num_a[None, :, None, :], num_y[..., None], out=mx)
+    np.subtract(terms, log_den, out=terms)
+    wgrid = np.multiply((w[:, None] * wq)[:, :, None], wq,
+                        out=_scratch("weights", (k, q, q)))
+    vals = np.multiply(wgrid, terms, out=terms).reshape(batch, -1).sum(axis=1)
+    return float(vals[0]) if xis.ndim == 0 else vals

@@ -41,6 +41,10 @@ class GridSpec:
     n_xi: int = 40
 
 
+# xi values per batched `scalar_mi` call on the coarse grid
+GRID_BATCH = 10
+
+
 @dataclass(frozen=True)
 class RsEvaluation:
     mu_bar: float
@@ -61,9 +65,8 @@ class OptimalityReport:
     y_mmse_pred: float
 
 
-def rs_value(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
-             Delta: float, quad: QuadratureRule = DEFAULT_QUAD) -> float:
-    """Potential value at (mu, xi); lam = 0 is valid only on the mu = 0 line."""
+def _rs_rest(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float) -> float:
+    """The potential at (mu, xi) without its scalar-MI term."""
     if mu < 0 or xi < 0:
         raise ValueError("mu and xi must be nonnegative")
     rho = prior.rho
@@ -76,8 +79,24 @@ def rs_value(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
         barrier = mu**2 / (4.0 * lam)
         graph_term = lam * rho**2 / 4.0
     reg_term = 0.5 * kappa * (math.log1p(xi) - xi / (1.0 + xi))
-    return (graph_term + barrier + reg_term - 0.5 * mu * rho
-            + scalar_mi(mu, xi, prior, Delta, kappa, quad))
+    return graph_term + barrier + reg_term - 0.5 * mu * rho
+
+
+def rs_value(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
+             Delta: float, quad: QuadratureRule = DEFAULT_QUAD) -> float:
+    """Potential value at (mu, xi); lam = 0 is valid only on the mu = 0 line."""
+    return _rs_rest(mu, xi, prior, lam, kappa) + scalar_mi(mu, xi, prior, Delta, kappa, quad)
+
+
+def _rs_row(mu: float, xis: np.ndarray, prior: PriorSpec, lam: float, kappa: float,
+            Delta: float, quad: QuadratureRule) -> list[float]:
+    """`rs_value` at (mu, x) for each x of xis, bit for bit, from batched `scalar_mi` calls."""
+    out = []
+    for start in range(0, len(xis), GRID_BATCH):
+        chunk = xis[start:start + GRID_BATCH]
+        mi = scalar_mi(mu, chunk, prior, Delta, kappa, quad)
+        out += [_rs_rest(mu, x, prior, lam, kappa) + v for x, v in zip(chunk, mi)]
+    return out
 
 
 def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
@@ -87,15 +106,9 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
     The first round sweeps the whole [0, hi] interval of each coordinate;
     later rounds bracket a shrinking window around the current point, which
     keeps the total evaluation count low at the 1e-8 coordinate tolerance.
+    ``f`` is called at every probe; `minimize` passes a memoized one.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    cache: dict[tuple[float, float], float] = {}
-
-    def fc(m, x):
-        key = (m, x)
-        if key not in cache:
-            cache[key] = f(m, x)
-        return cache[key]
 
     def golden(g, lo, hi):
         a, b = lo, hi
@@ -118,15 +131,15 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
     for _ in range(max_rounds):
         mu_old, xi_old = mu, xi
         if not mu_fixed:
-            mu, _ = golden(lambda m: fc(m, xi), max(0.0, mu - w_mu), min(mu_hi, mu + w_mu))
-        xi, val = golden(lambda x: fc(mu, x), max(0.0, xi - w_xi), min(xi_hi, xi + w_xi))
+            mu, _ = golden(lambda m: f(m, xi), max(0.0, mu - w_mu), min(mu_hi, mu + w_mu))
+        xi, val = golden(lambda x: f(mu, x), max(0.0, xi - w_xi), min(xi_hi, xi + w_xi))
         shift_mu, shift_xi = abs(mu - mu_old), abs(xi - xi_old)
         if shift_mu <= tol and shift_xi <= tol:
             break
         # shrink windows, never below a safe multiple of the achieved shift
         w_mu = max(4.0 * shift_mu, 256.0 * tol, w_mu / 16.0)
         w_xi = max(4.0 * shift_xi, 256.0 * tol, w_xi / 16.0)
-    val = fc(mu, xi)
+    val = f(mu, xi)
     return mu, xi, val
 
 
@@ -142,6 +155,12 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
     from the iterative fixed points (uninformative and informative starts).
     The global best over all refined candidates is returned.
 
+    The grid is evaluated one mu-row at a time, each row by batched
+    `scalar_mi` calls of at most GRID_BATCH xi values (`_rs_row`).  All
+    coordinate descents of one call share one cache of full-order values,
+    so a point that two descents both visit is evaluated once.  Every value
+    is the one a single `rs_value` call gives, bit for bit.
+
     ``uninformative`` is the caller's own ``fixed_point(prior, lam, kappa,
     Delta, quad=quad)``, passed in so that it is not solved twice.
     """
@@ -151,7 +170,12 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
     # small headroom so boundary minima are not clipped by the search box
     mu_box, xi_box = 1.02 * mu_hi, 1.02 * xi_hi
 
-    f = lambda m, x: rs_value(m, x, prior, lam, kappa, Delta, quad)
+    cache: dict[tuple[float, float], float] = {}
+
+    def f(m, x):
+        if (m, x) not in cache:
+            cache[m, x] = rs_value(m, x, prior, lam, kappa, Delta, quad)
+        return cache[m, x]
 
     candidates: list[tuple[float, float, float]] = []
     if lam == 0.0:
@@ -160,10 +184,9 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
         candidates.append((mu, xi, val))
     else:
         quad_coarse = quad if quad.order <= 21 else QuadratureRule.gauss_hermite(21)
-        fc = lambda m, x: rs_value(m, x, prior, lam, kappa, Delta, quad_coarse)
         mus = np.linspace(0.0, mu_hi, grid.n_mu)
         xis = np.linspace(0.0, xi_hi, grid.n_xi)
-        vals = np.array([[fc(m, x) for x in xis] for m in mus])
+        vals = np.array([_rs_row(m, xis, prior, lam, kappa, Delta, quad_coarse) for m in mus])
         # refine the two best well-separated cells
         flat = np.argsort(vals, axis=None)
         seeds, taken = [], []

@@ -345,9 +345,9 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 def load_dataset(in_dir) -> Dataset:
     """Read a directory written by `save_dataset`.
 
-    A header that lacks a key, a payload with NaN or Inf, and an edge row
-    that is not 0 <= i < j < p or repeats a pair each raise a ValueError
-    naming the file.
+    A header that lacks a key, a payload whose shape does not follow from the
+    header's n and p or that holds NaN or Inf, and an edge row that is not
+    0 <= i < j < p or repeats a pair each raise a ValueError naming the file.
     """
     import os
 
@@ -377,23 +377,27 @@ def load_dataset(in_dir) -> Dataset:
                          design_dist=value("design_dist"))
     seed = int(value("seed"))
 
-    def load_finite(name):
+    n, p = params.n, params.p
+
+    def load_finite(name, shape):
         path = os.path.join(in_dir, name)
         arr = np.load(path)
+        if arr.shape != shape:
+            raise ValueError(f"{path} has shape {arr.shape}, not {shape} "
+                             f"(header n = {n}, p = {p})")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path} holds NaN or Inf")
         return arr
 
-    sigma0 = load_finite("sigma0.npy")
-    beta0 = load_finite("beta0.npy")
-    Phi = load_finite("phi.npy")
-    y = load_finite("y.npy")
+    sigma0 = load_finite("sigma0.npy", (p,))
+    beta0 = load_finite("beta0.npy", (p,))
+    Phi = load_finite("phi.npy", (n, p))
+    y = load_finite("y.npy", (n,))
     edges_path = os.path.join(in_dir, "edges.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # an edgeless graph's file has no rows
         edges = np.loadtxt(edges_path, dtype=np.int64, delimiter=",", skiprows=1,
                            ndmin=2).reshape(-1, 2)
-    p = params.p
     bad = np.flatnonzero((edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= p))
     if bad.size:
         i, j = edges[bad[0]]

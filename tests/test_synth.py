@@ -336,11 +336,14 @@ class TestRoundTrip:
         back = load_dataset(tmp_path / "d")
         assert back.adjacency.shape == (3, 3) and back.adjacency.nnz == 0
 
-    @pytest.mark.parametrize("edit", ["nan_y", "no_rho", "self_loop", "reversed", "repeated"])
+    @pytest.mark.parametrize("edit", ["nan_y", "no_rho", "header_n", "short_beta",
+                                      "self_loop", "reversed", "repeated"])
     def test_malformed_dataset_is_rejected(self, tmp_path, capsys, edit):
         """Each defect raises a ValueError naming its file; the CLI exits 2."""
         message = {"nan_y": "y.npy holds NaN or Inf",
                    "no_rho": "header.txt has no 'rho' line",
+                   "header_n": r"phi.npy has shape \(30, 20\), not \(40, 20\)",
+                   "short_beta": r"beta0.npy has shape \(19,\), not \(20,\)",
                    "self_loop": r"edges.csv: edge \(3, 3\) is not 0 <= i < j < p = 20",
                    "reversed": r"edges.csv: edge \(9, 2\) is not 0 <= i < j < p = 20",
                    "repeated": r"edges.csv: edge \(\d+, \d+\) is repeated"}[edit]
@@ -356,6 +359,11 @@ class TestRoundTrip:
             header = (data / "header.txt").read_text().splitlines(keepends=True)
             (data / "header.txt").write_text("".join(ln for ln in header
                                                      if not ln.startswith("rho")))
+        elif edit == "header_n":
+            header = (data / "header.txt").read_text()
+            (data / "header.txt").write_text(header.replace("n = 30\n", "n = 40\n"))
+        elif edit == "short_beta":
+            np.save(data / "beta0.npy", np.load(data / "beta0.npy")[:-1])
         else:
             lines = (data / "edges.csv").read_text().splitlines(keepends=True)
             extra = {"self_loop": "3,3\n", "reversed": "9,2\n", "repeated": lines[1]}[edit]
