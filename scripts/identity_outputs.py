@@ -16,7 +16,12 @@ subdirectory of OUT_DIR:
   it raises on the baseline's tuning seed, each at threads 1 and 2;
 - ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
   ``netamp amp-run`` and ``netamp baseline-lap`` run on it, so the saved
-  ``edges.csv`` and the CSVs of a loaded dataset join the set.
+  ``edges.csv`` and the CSVs of a loaded dataset join the set;
+- ``kernels``: repr'd values of the scalar-channel kernels of
+  ``netamp.priors`` (``scalar_mi`` at single points and in 10-wide xi
+  batches at orders 21 and 41, ``mmse_pair``, and ``_mmse_channels`` and the
+  denoisers with their partials under every channel convention, the two
+  exact-conditioning ones included, which no harness CSV reaches).
 
 Each case's outcome ("ok", or the type and message of what the harness
 raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
@@ -41,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import csv  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 
 
@@ -98,6 +104,72 @@ def dataset_cli(cli, case_dir: str) -> None:
         os.chdir(cwd)
 
 
+def kernels(priors, case_dir: str) -> None:
+    """Write the scalar-channel kernels' values to case_dir/kernels.csv.
+
+    Each row is (kernel, prior, arguments, value); a value is the ``repr`` of
+    each float, so two checkouts agree on a row only when they agree bit for
+    bit, or the type and message of what the kernel raised.
+    """
+    import numpy as np
+
+    two = ((-1.0, 0.5), (1.0, 0.5))
+    named_priors = {
+        "five_atom": priors.spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]),
+        "pm7": priors.spike_slab(0.7, [-1.0, 1.0]),
+        "b_indep": priors.PriorSpec(rho=0.4, atoms0=two, atoms1=two),
+        "seven_atom": priors.PriorSpec(
+            rho=0.3, atoms0=((-0.5, 0.3), (0.0, 0.4), (1.5, 0.3)),
+            atoms1=((-2.0, 0.25), (-1.0, 0.25), (0.7, 0.25), (2.5, 0.25))),
+    }
+    quads = {order: priors.QuadratureRule.gauss_hermite(order) for order in (21, 41)}
+    # (mu, xi, Delta, kappa)
+    points = [(0.0, 0.0, 1.0, 1.0), (0.5, 0.2, 0.5, 1.0), (2.0, 1.0, 1.0, 1.5),
+              (4.0, 3.0, 2.0, 0.7), (2.12, 0.0063, 0.52, 1.28)]
+    batch = np.linspace(0.0, 3.0, 10)
+    # (eta, nu, tau): a regular channel and every degenerate convention
+    channels = [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.3, 0.0, 0.7), (0.8, 1.1, 0.0),
+                (0.8, 1.1, math.inf), (0.0, 0.0, math.inf), (1.3, 0.0, 0.0)]
+
+    def value(run, *args) -> str:
+        try:
+            return ";".join(repr(float(v)) for v in np.ravel(run(*args)))
+        except Exception as exc:    # the outcome is part of the compared output
+            return f"{type(exc).__name__}: {exc}"
+
+    rows = [("kernel", "prior", "arguments", "value")]
+    for name, prior in named_priors.items():
+        for order, quad in quads.items():
+            for mu, xi, Delta, kappa in points:
+                at = f"mu={mu!r} xi={xi!r} Delta={Delta!r} kappa={kappa!r} order={order}"
+                rows += [("scalar_mi", name, at,
+                          value(priors.scalar_mi, mu, xi, prior, Delta, kappa, quad)),
+                         ("mmse_pair", name, at,
+                          value(priors.mmse_pair, mu, xi, prior, Delta, kappa, quad)),
+                         ("scalar_mi", name, at.replace(f"xi={xi!r}", "xi=linspace(0,3,10)"),
+                          value(priors.scalar_mi, mu, batch, prior, Delta, kappa, quad))]
+        sig, b, _ = priors._atom_arrays(prior)
+        for eta, nu, tau in channels:
+            rng = np.random.default_rng(7)
+            idx = rng.integers(len(sig), size=50)
+            # an exact-conditioning channel observes an atom exactly
+            x = eta * sig[idx] if nu == 0.0 else 3.0 * rng.normal(size=50)
+            y = b[idx] if tau == 0.0 else 3.0 * rng.normal(size=50)
+            ch = priors.ScalarChannelParams(eta=eta, nu=nu, tau=tau)
+            at = f"eta={eta!r} nu={nu!r} tau={tau!r}"
+            rows += [("_mmse_channels", name, at,
+                      value(priors._mmse_channels, prior, eta, nu, tau, quads[41])),
+                     ("denoise_sigma", name, at, value(priors.denoise_sigma, x, y, ch, prior)),
+                     ("denoise_beta", name, at, value(priors.denoise_beta, y, x, ch, prior)),
+                     ("denoiser_partials", name, at,
+                      value(priors.denoiser_partials, x, y, ch, prior)),
+                     ("denoise_sigma", name, at + " scalar",
+                      value(priors.denoise_sigma, float(x[0]), float(y[0]), ch, prior))]
+    os.makedirs(case_dir, exist_ok=True)
+    with open(os.path.join(case_dir, "kernels.csv"), "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 @contextlib.contextmanager
 def generate_raising_at(ex, bad_seed: int | None):
     """Make the harness's ``generate`` raise for one seed.
@@ -142,6 +214,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
     import netamp.cli as cli
     import netamp.experiments as ex
+    import netamp.priors as priors
     import workloads
 
     if os.path.dirname(os.path.dirname(ex.__file__)) != os.path.join(checkout, "src"):
@@ -157,6 +230,8 @@ def main(argv: list[str]) -> int:
     print("dataset_cli: generate, amp-run, baseline-lap", file=sys.stderr)
     outcomes.append(("dataset_cli",
                      outcome(dataset_cli, cli, os.path.join(out_dir, "dataset_cli"))))
+    print("kernels: scalar-channel kernel values", file=sys.stderr)
+    outcomes.append(("kernels", outcome(kernels, priors, os.path.join(out_dir, "kernels"))))
     with open(os.path.join(out_dir, "outcomes.csv"), "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([("case", "outcome"), *outcomes])
     print(f"wrote {len(outcomes)} cases to {out_dir}", file=sys.stderr)

@@ -19,11 +19,15 @@ observation is y = B + tau * Z'.  Degenerate parameters are interpreted as:
 * tau == inf:           the B factor is uninformative and is dropped.
 
 Posterior weights are always formed in the log domain (max-subtracted)
-so high-SNR channels do not underflow.
+so high-SNR channels do not underflow.  One function builds the quadrature
+grid of the two channels (`_grid`) and one forms the atom log-weights
+(`_log_weights`); the mmse pair and the mutual information share both, the
+latter with a batch of B-channel scales tau on a leading axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -91,13 +95,11 @@ class PriorSpec:
         return sum(w * b * b for _, b, w in joint_atoms(self))
 
 
-def spike_slab(rho: float, slab_values, slab_probs=None) -> PriorSpec:
-    """Convenience constructor: P(.|0) = delta_0, P(.|1) uniform or weighted."""
+def spike_slab(rho: float, slab_values) -> PriorSpec:
+    """Convenience constructor: P(.|0) = delta_0, P(.|1) uniform on slab_values."""
     vals = [float(v) for v in slab_values]
-    if slab_probs is None:
-        slab_probs = [1.0 / len(vals)] * len(vals)
     return PriorSpec(rho=rho, atoms0=((0.0, 1.0),),
-                     atoms1=tuple(zip(vals, slab_probs)))
+                     atoms1=tuple((v, 1.0 / len(vals)) for v in vals))
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,12 @@ def joint_atoms(prior: PriorSpec) -> list[tuple[int, float, float]]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _atom_arrays(prior: PriorSpec):
-    atoms = joint_atoms(prior)
-    sig = np.array([a[0] for a in atoms], dtype=float)
-    b = np.array([a[1] for a in atoms], dtype=float)
-    w = np.array([a[2] for a in atoms], dtype=float)
-    return sig, b, w
+    """Read-only (sigma, b, weight) arrays of the joint atoms, cached per prior."""
+    arrays = np.array(joint_atoms(prior), dtype=float).T.copy()
+    arrays.flags.writeable = False
+    return tuple(arrays)
 
 
 class _Workspace(threading.local):
@@ -186,51 +188,56 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _half_square(role: str, obs: np.ndarray, centre: np.ndarray, scale: float) -> np.ndarray:
-    """0.5 * ((obs - centre) / scale) ** 2 in the `role` scratch array."""
-    out = _scratch(role, np.broadcast_shapes(obs.shape, centre.shape))
+def _half_square(role: str, obs: np.ndarray, centre: np.ndarray, scale) -> np.ndarray:
+    """0.5 * ((obs - centre) / scale) ** 2, (K,) + obs.shape, in the `role` scratch array."""
+    out = _scratch(role, centre.shape[:1] + obs.shape)
     np.subtract(obs, centre, out=out)
     np.divide(out, scale, out=out)
     np.square(out, out=out)
     return np.multiply(0.5, out, out=out)
 
 
-def _log_weights(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
+def _log_weights(x, y, eta, nu, tau, prior: PriorSpec) -> np.ndarray:
     """Log posterior weights over joint atoms, shape (K,) + broadcast(x, y).
 
-    The atom sits on the leading axis, where numpy reduces fastest, and each
-    channel term is formed on its own operand's shape before the two meet.
-    Normalization constants common to all atoms are omitted; they cancel
-    once the weights are normalized.  The result lives in the workspace
-    (see `_scratch`), or is a read-only broadcast of the log prior weights
-    when both channels are dropped.
+    The module's one log-weight kernel, for x = eta*Sigma + nu*Z and
+    y = B + tau*Z' with x and y of one ndim.  ``tau`` may also be an array of
+    finite positive scales that broadcasts against y: a batch of B channels.
+    The atom sits on the leading axis, where numpy reduces fastest; each
+    channel term is formed on its own operand's shape, and the order
+    (log w - x term) - y term fixes the rounding that the naive references
+    of tests/test_priors.py pin.  Constants common to all atoms are omitted.
+    The result lives in the workspace (see `_scratch`), or is a read-only
+    broadcast of the log prior weights when both channels are dropped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sig, b, w = _atom_arrays(prior)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    atom = lambda v, ndim: v.reshape(v.shape + (1,) * ndim)  # (K,) -> (K, 1, ..., 1)
-    logw = atom(np.log(w), len(shape))
+    full = w.shape + np.broadcast(x, y).shape
+    atom = lambda v: v.reshape(v.shape + (1,) * x.ndim)  # (K,) -> (K, 1, ..., 1)
+    logw = atom(np.log(w))
 
-    if ch.nu == 0.0:
-        if ch.eta != 0.0:
-            match = np.abs(x - atom(ch.eta * sig, x.ndim)) <= EXACT_TOL
+    if nu == 0.0:
+        if eta != 0.0:
+            match = np.abs(x - atom(eta * sig)) <= EXACT_TOL
             logw = np.where(match, logw, -np.inf)
         # eta == nu == 0: factor dropped
     else:
-        term = _half_square("x_term", x, atom(ch.eta * sig, x.ndim), ch.nu)
+        term = _half_square("x_term", x, atom(eta * sig), nu)
         logw = np.subtract(logw, term, out=term)
 
-    if ch.tau == 0.0:
-        match = np.abs(y - atom(b, y.ndim)) <= EXACT_TOL
+    batch = isinstance(tau, np.ndarray)
+    if not batch and tau == 0.0:
+        match = np.abs(y - atom(b)) <= EXACT_TOL
         logw = np.where(match, logw, -np.inf)
-    elif not math.isinf(ch.tau):
-        term = _half_square("y_term", y, atom(b, y.ndim), ch.tau)
-        logw = np.subtract(logw, term,
-                           out=_scratch("logw", np.broadcast_shapes(logw.shape, term.shape)))
+    elif batch or not math.isinf(tau):
+        term = _half_square("y_term", y, atom(b), tau)
+        logw = np.subtract(logw, term, out=_scratch("logw", full))
     # tau == inf: factor dropped
 
-    return np.broadcast_to(logw, (len(w),) + shape)
+    # a broadcast view of a full-size array would make the callers' in-place
+    # updates copy their input first
+    return logw if logw.shape == full else np.broadcast_to(logw, full)
 
 
 def _posterior(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
@@ -243,7 +250,7 @@ def _posterior(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
     `_scratch`): the caller must be done with the result before its thread
     calls another kernel of this module.
     """
-    logw = _log_weights(x, y, ch, prior)
+    logw = _log_weights(x, y, ch.eta, ch.nu, ch.tau, prior)
     mx = np.max(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
     if np.any(np.isneginf(mx)):
         raise InconsistentObservation("inconsistent observation")
@@ -324,31 +331,36 @@ def denoiser_partials(x, y, ch: ScalarChannelParams, prior: PriorSpec):
     return out
 
 
+def _grid(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
+    """The module's one quadrature grid: (X, Y, wgrid) given the true atom.
+
+    X = eta*sig + nu*z on (atom, 1, z_sig), Y = b + tau*z on (atom, z_b, 1)
+    and wgrid = w * w_b * w_sig on (atom, z_b, z_sig), in the workspace.  An
+    absent channel (nu == 0, or tau == inf) collapses to one node of weight
+    one.  A tau batch of shape (batch, 1, 1, 1) puts Y on (batch, atom, z_b, 1).
+    """
+    sig, b, w = _atom_arrays(prior)
+    z_sig, w_sig = (quad.nodes, quad.weights) if nu > 0 else (np.zeros(1), np.ones(1))
+    informative_b = isinstance(tau, np.ndarray) or not math.isinf(tau)
+    z_b, w_b = (quad.nodes, quad.weights) if informative_b else (np.zeros(1), np.ones(1))
+
+    X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
+    Y = b[:, None, None] + (tau if informative_b else 0.0) * z_b[None, :, None]
+    wgrid = np.multiply(w[:, None, None] * w_b[None, :, None], w_sig[None, None, :],
+                        out=_scratch("weights", (len(w), len(z_b), len(z_sig))))
+    return X, Y, wgrid
+
+
 def _mmse_channels(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
     """(mmse_sigma, mmse_b) for channels x = eta*Sigma + nu*Z, y = B + tau*Z'.
 
-    Exact atom sums outside, tensor Gauss-Hermite inside.  Degenerate
-    parameters follow the module conventions; fully uninformative channels
-    reduce to the prior variances.
+    Exact atom sums outside, tensor Gauss-Hermite inside (`_grid`).
+    Degenerate parameters follow the module conventions; fully uninformative
+    channels reduce to the prior variances.
     """
-    sig, b, w = _atom_arrays(prior)
-    ch = ScalarChannelParams(eta=eta, nu=nu, tau=tau)
-
-    informative_sig = nu > 0 and eta > 0
-    informative_b = not math.isinf(tau)
-    zs, wq = quad.nodes, quad.weights
-    # grid over (atom, z_b, z_sig); collapse absent channels to one node
-    z_sig = zs if informative_sig or nu > 0 else np.array([0.0])
-    w_sig = wq if z_sig.shape == zs.shape else np.array([1.0])
-    z_b = zs if informative_b else np.array([0.0])
-    w_b = wq if informative_b else np.array([1.0])
-
-    X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
-    Y = b[:, None, None] + (0.0 if not informative_b else tau) * z_b[None, :, None]
-
-    post = _posterior(X, Y, ch, prior)
-    wgrid = np.multiply(w[:, None, None] * w_b[None, :, None], w_sig[None, None, :],
-                        out=_scratch("weights", post.shape[:-1]))
+    sig, b, _ = _atom_arrays(prior)
+    X, Y, wgrid = _grid(prior, eta, nu, tau, quad)
+    post = _posterior(X, Y, ScalarChannelParams(eta=eta, nu=nu, tau=tau), prior)
 
     def mse(v):
         err = np.matmul(post, v, out=_scratch("grid", wgrid.shape))
@@ -395,53 +407,40 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
     The observations are a = sqrt(mu)*Sigma + Z and
     y = B + sqrt(Delta(1+xi)/kappa)*eps with independent standard normals.
     Computed as the expectation of log [P(a,y|Sigma,B) / P(a,y)]: exact sums
-    over atoms outside and inside, quadrature over (Z, eps).
+    over atoms outside, quadrature over (Z, eps) on `_grid`, and the mixture
+    P(a,y) from the `_log_weights` of every atom.
 
     ``xi`` is a float, which gives a float, or a 1-D array of values at the
-    same mu, which gives an array.  A batch puts its xi on a leading axis of
-    every temporary and rounds each entry exactly as a call at that xi alone:
-    only the B channel depends on xi, so the sigma-channel terms are formed
-    once.  The (batch, K, K, Q, Q) mixture array and the grids live in the
-    workspace (see `_scratch`); keep batches small (`rs_potential` uses 10
-    at order 21, about 1.3 MB for six atoms).
+    same mu, which gives an array.  A batch is a tau batch on a leading axis
+    of Y and rounds each entry exactly as a call at that xi alone; the
+    sigma-channel terms are formed once.  The (K, batch, K, Q, Q) mixture
+    array and the grids live in the workspace (see `_scratch`); keep batches
+    small (`rs_potential` uses 10 at order 21, about 1.3 MB for six atoms).
     """
     if quad.order < 21:
         raise ValueError("quadrature order must be at least 21")
     xis = np.asarray(xi, dtype=float)
     if xis.ndim > 1:
         raise ValueError("xi must be a float or a 1-D array")
-    tau = np.array([_mu_xi_channels(mu, x, Delta, kappa)[2] for x in xis.reshape(-1)])
+    tau = np.array([_mu_xi_channels(mu, x, Delta, kappa)[2]
+                    for x in xis.reshape(-1)])[:, None, None, None]
     eta, nu, _ = _mu_xi_channels(mu, 0.0, Delta, kappa)
-    sig, b, w = _atom_arrays(prior)
-    zs, wq = quad.nodes, quad.weights
-    batch, k, q = len(tau), len(w), len(zs)
-    tau = tau[:, None, None]
+    sig, b, _ = _atom_arrays(prior)
+    X, Y, wgrid = _grid(prior, eta, nu, tau, quad)
 
-    # observation grids given true atom k: a = eta*sig_k + z2, y = b_k + tau*z1,
-    # kept on their own (k, z2) and (batch, k, z1) shapes; the grid is
-    # (batch, k, z1, z2)
-    A = eta * sig[:, None] + nu * zs[None, :]
-    Y = b[:, None] + tau * zs
-
-    # mixture over atoms m, on axis 1 of (batch, m, k, z1, z2); the operands
-    # and order of (log w - tA) - tY fix the rounding, which
-    # tests/test_priors.py pins to a naive last-axis reference
-    tA = 0.5 * ((A - (eta * sig)[:, None, None]) / nu) ** 2
-    tY = 0.5 * ((Y[:, None] - b[:, None, None]) / tau[:, None]) ** 2
-    logm = np.subtract((np.log(w)[:, None, None, None] - tA[:, :, None, :])[None],
-                       tY[..., None], out=_scratch("logw", (batch, k, k, q, q)))
-    mx = np.max(logm, axis=1, out=_scratch("grid", (batch, k, q, q)))
-    np.subtract(logm, mx[:, None], out=logm)
-    log_den = np.sum(np.exp(logm, out=logm), axis=1, out=_scratch("grid2", mx.shape))
+    # log of the mixture density over atoms m, on the leading axis of
+    # (m, batch, k, z_b, z_sig), by max-subtracted log-sum-exp
+    logw = _log_weights(X[None], Y, eta, nu, tau, prior)
+    mx = np.max(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
+    np.subtract(logw, mx, out=logw)
+    log_den = np.sum(np.exp(logw, out=logw), axis=0, out=_scratch("grid2", mx.shape))
     np.add(mx, np.log(log_den, out=log_den), out=log_den)
 
     # conditional log-likelihood (constants cancel against the mixture),
     # written over the spent maximum
-    num_a = -0.5 * ((A - eta * sig[:, None]) / nu) ** 2
-    num_y = 0.5 * ((Y - b[:, None]) / tau) ** 2
-    terms = np.subtract(num_a[None, :, None, :], num_y[..., None], out=mx)
+    num_a = -0.5 * ((X - eta * sig[:, None, None]) / nu) ** 2
+    num_y = 0.5 * ((Y - b[:, None, None]) / tau) ** 2
+    terms = np.subtract(num_a, num_y, out=mx)
     np.subtract(terms, log_den, out=terms)
-    wgrid = np.multiply((w[:, None] * wq)[:, :, None], wq,
-                        out=_scratch("weights", (k, q, q)))
-    vals = np.multiply(wgrid, terms, out=terms).reshape(batch, -1).sum(axis=1)
+    vals = np.multiply(wgrid, terms, out=terms).reshape(len(tau), -1).sum(axis=1)
     return float(vals[0]) if xis.ndim == 0 else vals

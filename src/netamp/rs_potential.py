@@ -43,6 +43,7 @@ class GridSpec:
 
 # xi values per batched `scalar_mi` call on the coarse grid
 GRID_BATCH = 10
+_DESCENT_TOL, _DESCENT_ROUNDS = 1e-8, 40     # `_coordinate_descent` tolerance, rounds
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,7 @@ def _rs_row(mu: float, xis: np.ndarray, prior: PriorSpec, lam: float, kappa: flo
     return out
 
 
-def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
-                        mu_fixed=False):
+def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, mu_fixed=False):
     """Alternating golden-section line searches.
 
     The first round sweeps the whole [0, hi] interval of each coordinate;
@@ -114,7 +114,7 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
         a, b = lo, hi
         c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
         gc, gd = g(c), g(d)
-        while b - a > tol:
+        while b - a > _DESCENT_TOL:
             if gc < gd:
                 b, d, gd = d, c, gc
                 c = b - inv_phi * (b - a)
@@ -128,17 +128,17 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, tol=1e-8, max_rounds=40,
 
     mu, xi = mu0, xi0
     w_mu, w_xi = mu_hi, xi_hi          # full sweep on the first round
-    for _ in range(max_rounds):
+    for _ in range(_DESCENT_ROUNDS):
         mu_old, xi_old = mu, xi
         if not mu_fixed:
             mu, _ = golden(lambda m: f(m, xi), max(0.0, mu - w_mu), min(mu_hi, mu + w_mu))
         xi, val = golden(lambda x: f(mu, x), max(0.0, xi - w_xi), min(xi_hi, xi + w_xi))
         shift_mu, shift_xi = abs(mu - mu_old), abs(xi - xi_old)
-        if shift_mu <= tol and shift_xi <= tol:
+        if shift_mu <= _DESCENT_TOL and shift_xi <= _DESCENT_TOL:
             break
         # shrink windows, never below a safe multiple of the achieved shift
-        w_mu = max(4.0 * shift_mu, 256.0 * tol, w_mu / 16.0)
-        w_xi = max(4.0 * shift_xi, 256.0 * tol, w_xi / 16.0)
+        w_mu = max(4.0 * shift_mu, 256.0 * _DESCENT_TOL, w_mu / 16.0)
+        w_xi = max(4.0 * shift_xi, 256.0 * _DESCENT_TOL, w_xi / 16.0)
     val = f(mu, xi)
     return mu, xi, val
 

@@ -10,6 +10,7 @@ from netamp.priors import (EXACT_TOL, PriorSpec, QuadratureRule, ScalarChannelPa
                            _atom_arrays, _mmse_channels, denoise_beta, denoise_sigma,
                            denoiser_partials, joint_atoms, mmse1, mmse2, mmse_pair,
                            scalar_mi, spike_slab)
+from netamp.rs_potential import rs_value
 
 # Frozen Monte-Carlo oracle values.  Windowed kernel average of the latent
 # given observations in a shrinking window (2e8 draws, bandwidths 0.06/0.03,
@@ -270,15 +271,15 @@ class TestScalarMi:
     # this box and its corners the worst error was 2.84e-7 (B independent of
     # Sigma, tau at its floor 0.816), which fixes the tolerance.
     IMMSE_STEP, IMMSE_TOL = 1e-5, 4e-7
+    IMMSE_PRIORS = st.sampled_from([
+        spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]), spike_slab(0.5, [-1.0, 1.0]),
+        spike_slab(0.7, [-1.0, 1.0]),
+        PriorSpec(rho=0.4, atoms0=((-1.0, 0.5), (1.0, 0.5)), atoms1=((-1.0, 0.5), (1.0, 0.5)))])
+    IMMSE_BOX = dict(xi=st.floats(1e-5, 6.0), Delta=st.floats(1.0, 4.0),
+                     kappa=st.floats(0.5, 1.5))
 
     @settings(max_examples=100, deadline=None)
-    @given(prior=st.sampled_from([
-               spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]), spike_slab(0.5, [-1.0, 1.0]),
-               spike_slab(0.7, [-1.0, 1.0]),
-               PriorSpec(rho=0.4, atoms0=((-1.0, 0.5), (1.0, 0.5)),
-                         atoms1=((-1.0, 0.5), (1.0, 0.5)))]),
-           mu=st.floats(1e-5, 6.0), xi=st.floats(1e-5, 6.0),
-           Delta=st.floats(1.0, 4.0), kappa=st.floats(0.5, 1.5))
+    @given(prior=IMMSE_PRIORS, mu=st.floats(1e-5, 6.0), **IMMSE_BOX)
     def test_i_mmse_identity(self, quad, prior, mu, xi, Delta, kappa):
         h = self.IMMSE_STEP
         mi = lambda m, x: scalar_mi(m, x, prior, Delta, kappa, quad)
@@ -288,6 +289,30 @@ class TestScalarMi:
         assert abs(d_mu - m1 / 2) <= self.IMMSE_TOL
         assert abs(d_xi + kappa * m2 / (2 * Delta * (1 + xi) ** 2)) <= self.IMMSE_TOL
 
+    # Through the I-MMSE identities the potential's gradient has the closed form
+    #   grad F = ((mu/lam - (rho - mmse1)) / 2, (kappa/2) (xi - mmse2/Delta) / (1 + xi)^2),
+    # checked by central differences of rs_value on the box above with
+    # lam in [0.5, 5] and mu <= 2 lam rho, and on the lam = 0 line (mu = 0),
+    # where only the xi component exists.  Over 1500 uniform draws and the
+    # corners of this box the worst error was 2.84e-7, at tau's floor 0.816 as
+    # for the identity above.
+    @settings(max_examples=100, deadline=None)
+    @given(prior=IMMSE_PRIORS, lam=st.floats(0.5, 5.0), mu_frac=st.floats(0.0, 1.0),
+           **IMMSE_BOX)
+    def test_potential_gradient(self, quad, prior, lam, mu_frac, xi, Delta, kappa):
+        h, rho = self.IMMSE_STEP, prior.rho
+        mu = 1e-5 + mu_frac * (min(6.0, 2.0 * lam * rho) - 1e-5)
+        F = lambda m, x, lam=lam: rs_value(m, x, prior, lam, kappa, Delta, quad)
+        grad_xi = lambda m2: kappa / 2 * (xi - m2 / Delta) / (1 + xi) ** 2
+        m1, m2 = mmse_pair(mu, xi, prior, Delta, kappa, quad)
+        d_mu = (F(mu + h, xi) - F(mu - h, xi)) / (2 * h)
+        d_xi = (F(mu, xi + h) - F(mu, xi - h)) / (2 * h)
+        assert abs(d_mu - (mu / lam - (rho - m1)) / 2) <= self.IMMSE_TOL
+        assert abs(d_xi - grad_xi(m2)) <= self.IMMSE_TOL
+        _, m2 = mmse_pair(0.0, xi, prior, Delta, kappa, quad)
+        d_xi = (F(0.0, xi + h, lam=0.0) - F(0.0, xi - h, lam=0.0)) / (2 * h)
+        assert abs(d_xi - grad_xi(m2)) <= self.IMMSE_TOL
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts of Linux")
 def test_repeated_calls_do_not_fault(five_atom, quad):
@@ -295,12 +320,17 @@ def test_repeated_calls_do_not_fault(five_atom, quad):
 
     With fresh full-size temporaries on every call, glibc trimmed the heap
     after each call and the next call faulted it back in: about 40k faults
-    for these 400 calls.
+    for the first 400 calls.  The last two are the potential's coarse-grid
+    call (a 10-wide xi batch at order 21) and AMP's call at p = 3000.
     """
     import resource
 
+    xis = np.linspace(0.0, 3.0, 10)
+    x, y = np.random.default_rng(0).normal(size=(2, 3000))
     calls = [lambda: mmse_pair(1.0, 0.5, five_atom, 1.0, 1.5, quad),
-             lambda: scalar_mi(1.0, 0.5, five_atom, 1.0, 1.5, quad)]
+             lambda: scalar_mi(1.0, 0.5, five_atom, 1.0, 1.5, quad),
+             lambda: scalar_mi(1.0, xis, five_atom, 1.0, 1.5, _QUADS[21]),
+             lambda: denoiser_partials(x, y, CH, five_atom)]
     for call in calls:
         call()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
