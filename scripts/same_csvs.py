@@ -5,12 +5,16 @@
 Every ``*.csv`` below either directory is paired with the file at the same
 relative path in the other.  A pair is identical when the two files are
 equal byte for byte once their ``# timestamp`` lines are dropped; a file with
-no partner is missing.  Prints each differing or missing path, then
-"N identical, M differing, K missing", and exits 1 unless M = K = 0.
+no partner is missing.  Prints each differing path followed by the names of
+the columns whose cells differ ("columns: none" when only the ``#`` lines do),
+each missing path, then "N identical, M differing, K missing", and exits 1
+unless M = K = 0.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -20,6 +24,26 @@ TIMESTAMP = b"# timestamp"
 def _body(path: Path) -> list[bytes]:
     return [ln for ln in path.read_bytes().splitlines(keepends=True)
             if not ln.startswith(TIMESTAMP)]
+
+
+def _table(body: list[bytes]) -> tuple[list[str], list[dict[str, str]]]:
+    """(header, rows keyed by column) of a CSV body; ``#`` lines are skipped."""
+    reader = csv.reader(ln.decode() for ln in body if not ln.startswith(b"#"))
+    header = next(reader, [])
+    return header, [dict(zip(header, row)) for row in reader]
+
+
+def differing_columns(body_a: list[bytes], body_b: list[bytes]) -> list[str]:
+    """Columns whose cells differ between two CSV bodies, in header order.
+
+    Rows pair by position, so a row that only one body has differs in every
+    column; a column that only one header has differs too.
+    """
+    (head_a, rows_a), (head_b, rows_b) = _table(body_a), _table(body_b)
+    return [name for name in dict.fromkeys(head_a + head_b)
+            if name not in head_a or name not in head_b
+            or any((ra or {}).get(name) != (rb or {}).get(name)
+                   for ra, rb in itertools.zip_longest(rows_a, rows_b))]
 
 
 def compare(dir_a: Path, dir_b: Path) -> tuple[list[str], list[str], list[str]]:
@@ -45,6 +69,8 @@ def main(argv: list[str]) -> int:
     identical, differing, missing = compare(dir_a, dir_b)
     for rel in differing:
         print(f"differs: {rel}")
+        cols = differing_columns(_body(dir_a / rel), _body(dir_b / rel))
+        print(f"  columns: {', '.join(cols) if cols else 'none'}")
     for rel in missing:
         print(f"missing: {rel}")
     print(f"{len(identical)} identical, {len(differing)} differing, {len(missing)} missing")

@@ -23,7 +23,7 @@ from .amp import AmpConfig, AmpResult, run
 from .rs_potential import OptimalityReport, RsEvaluation, minimize, optimality_check, rs_value
 from .inference import (CredibleIntervals, DiscoveryResult, credible_intervals,
                         discover, mse_beta, mse_sigma, pvalues)
-from .laplacian import LapConfig, LapFit, fit, graph_laplacian, tune
+from .laplacian import LapConfig, LapFit, LapTune, fit, graph_laplacian, tune
 
 __all__ = [
     "PriorSpec", "QuadratureRule", "ScalarChannelParams", "denoise_beta",
@@ -37,5 +37,5 @@ __all__ = [
     "OptimalityReport", "RsEvaluation", "minimize", "optimality_check", "rs_value",
     "CredibleIntervals", "DiscoveryResult", "credible_intervals", "discover",
     "mse_beta", "mse_sigma", "pvalues",
-    "LapConfig", "LapFit", "fit", "graph_laplacian", "tune",
+    "LapConfig", "LapFit", "LapTune", "fit", "graph_laplacian", "tune",
 ]

@@ -30,8 +30,8 @@ import sys
 from .amp import AmpConfig, run
 from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
                           ReplicateFailures, _baseline_row, _lap_grid,
-                          _make_params, builtin_spec, floats, load_spec_file,
-                          pipeline_sink, run_experiment)
+                          _make_params, _note_unconverged_tunes, builtin_spec,
+                          floats, load_spec_file, pipeline_sink, run_experiment)
 from .laplacian import tune
 from .priors import QuadratureRule
 from .state_evolution import se_run
@@ -197,13 +197,15 @@ def main(argv=None) -> int:
 
     if args.cmd == "baseline-lap":
         ds = _load(ap, args.data)
-        cfg = tune(ds, _lap_grid(ds), seed=args.seed)
+        tuned = tune(ds, _lap_grid(ds), seed=args.seed)
+        cfg = tuned.config
         row = _baseline_row(ds, cfg)
         sink = pipeline_sink(f"{args.out}/baseline_lap.csv", "baseline",
                              {"data": args.data}, args.overwrite)
         sink.add(**{"lambda": ds.params.lam, "Delta": ds.params.Delta,
                     "replicate": ds.seed, **row})
         sink.write()
+        _note_unconverged_tunes(sink.path, {(ds.params.lam, ds.params.Delta): tuned})
         print(f"wrote {sink.path}; prediction error {row['pred_error']:.4f} "
               f"(lambda1={cfg.lambda1:.4g}, lambda2={cfg.lambda2:.4g})")
         return 0

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .amp import AmpConfig, run
 from .inference import credible_intervals, discover, pvalues
-from .laplacian import LapConfig, fit, tune
+from .laplacian import LapConfig, LapTune, fit, tune
 from .priors import PriorSpec, QuadratureRule
 from .rs_potential import coincide, minimize
 from .state_evolution import fixed_point, predicted_errors, se_run
@@ -383,10 +383,23 @@ def _replicate_job(args) -> dict:
     return units
 
 
-def _tune_job(args) -> LapConfig:
+def _tune_job(args) -> LapTune:
     spec, lam, delta = args
     tune_ds = generate(_make_params(spec, lam, delta), spec.base_seed + spec.replicates)
     return tune(tune_ds, _lap_grid(tune_ds), seed=spec.base_seed)
+
+
+def _note_unconverged_tunes(path: str, tunes: dict[tuple, LapTune]) -> None:
+    """Append `# unconverged_tune_fits = lambda:Delta:k/m;...` to the CSV at path.
+
+    k of the tune's m grid fits stopped at max_iter; a tune whose every fit
+    converged is left out, and nothing is written when no tune is left.
+    """
+    note = ";".join(f"{lam}:{delta}:{t.converged.count(False)}/{len(t.converged)}"
+                    for (lam, delta), t in tunes.items() if not all(t.converged))
+    if note:
+        with open(path, "a") as fh:
+            fh.write(f"# unconverged_tune_fits = {note}\n")
 
 
 class ReplicateFailures(RuntimeError):
@@ -467,7 +480,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
             say(f"baseline tuning lam={lam} Delta={delta}")
             tuned[(lam, delta)] = pool.submit(_tune_job, (spec, lam, delta))
         # a failed tune is raised where the baseline CSV reaches it
-        cfgs = {key: None if fut.exception() else fut.result()
+        cfgs = {key: None if fut.exception() else fut.result().config
                 for key, fut in tuned.items()}
         jobs = {}
         for lam, seed in job_keys:
@@ -523,6 +536,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int = 1,
             _aggregate(sink, _PIPELINES[pl].averaged)
         sink.write()
         written[pl] = sink.path
+        if pl == "baseline":
+            _note_unconverged_tunes(sink.path, {key: fut.result() for key, fut in tuned.items()})
 
     if failures:
         total = len(pls) * len(spec.lambdas) * len(spec.deltas) * len(seeds)

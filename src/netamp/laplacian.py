@@ -5,8 +5,11 @@ Minimizes
     F(beta) = 0.5 ||y - Phi beta||^2 + lambda1 ||beta||_1
             + 0.5 lambda2 beta^T L beta
 
-by proximal gradient at a step from power iteration, where L = D - A is the
-Laplacian of the observed graph.  The quadratic term pulls coefficients of
+by monotone FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue &
+Candes 2015) at a step from power iteration, where L = D - A is the
+Laplacian of the observed graph.  A candidate that would raise the objective
+is replaced by a plain proximal-gradient step, which is why that step needs
+no line search (see `_fit_steps`).  The quadratic term pulls coefficients of
 adjacent vertices together, which is how the side network enters this
 estimator; it is the comparison point for the message-passing approach.
 
@@ -27,7 +30,7 @@ import scipy.sparse as sp
 
 from .synth import Dataset
 
-__all__ = ["LapConfig", "LapFit", "fit", "tune", "graph_laplacian"]
+__all__ = ["LapConfig", "LapFit", "LapTune", "fit", "tune", "graph_laplacian"]
 
 # Rows per slab of a lockstep product: a 64 x 2000 float64 slab (1 MB) stays
 # in L2 while every pending request of the round reads it.
@@ -54,6 +57,12 @@ class LapFit:
     converged: bool
     n_iter: int
     objective: float
+
+
+@dataclass(frozen=True)
+class LapTune:
+    config: LapConfig                # the picked grid entry
+    converged: tuple[bool, ...]      # each grid fit's flag, in grid order
 
 
 def graph_laplacian(adjacency: sp.csr_array) -> sp.csr_array:
@@ -135,9 +144,10 @@ def _step_size(p: int, L, lambda2: float):
     The Lipschitz constant lambda_max of the quadratic smooth part comes from
     30 power iterations, an estimate that can still sit more than 5% below
     it, so the step is not always at most 1 / lambda_max: step * lambda_max
-    was measured at 0.95-1.03.  Proximal gradient needs only
-    step < 2 / lambda_max, which ``test_step_guarantees_descent`` pins.  The
-    step does not depend on lambda1.
+    was measured at 0.95-1.03.  `_fit_steps` falls back on a plain
+    proximal-gradient step, which needs only step < 2 / lambda_max, as
+    ``test_step_guarantees_descent`` pins.  The step does not depend on
+    lambda1.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(p)
@@ -154,35 +164,68 @@ def _step_size(p: int, L, lambda2: float):
 
 
 def _fit_steps(p: int, y: np.ndarray, L, config: LapConfig, step: float):
-    """Generator of one fit: proximal gradient at the power-iteration step.
+    """Generator of one fit: monotone FISTA with gradient restart.
 
-    No line search: a step below 2 / ||Phi^T Phi + lambda2 L||, twice the
-    inverse Lipschitz constant of the smooth part's gradient, decreases the
-    objective (Beck 2017, Lemma 10.4).  The power-iteration step sits near
-    the inverse constant, a few percent either side of it.
+    FISTA (Beck & Teboulle 2009) takes each proximal-gradient step from the
+    extrapolated point v = x_k + theta_k (x_k - x_{k-1}).  The momentum
+    restarts whenever the step points against it, (v - x_{k+1}) .
+    (x_{k+1} - x_k) > 0 (the gradient scheme of O'Donoghue & Candes 2015).
+    A candidate whose objective rises above F(x_k) is rejected: the momentum
+    restarts and a plain proximal-gradient step is taken from x_k instead.
+
+    That guard is what makes the power-iteration step safe.  FISTA's own
+    bound is step <= 1 / lambda_max(Phi^T Phi + lambda2 L), which that step
+    can miss by a few percent, but a plain proximal-gradient step below
+    2 / lambda_max decreases the objective (Beck 2017, Lemma 10.4), so the
+    objective never rises and no line search is needed.
+
+    Each iteration makes one product of each kind: Phi^T at v for the
+    gradient, and Phi at the new iterate, which also gives its objective.
+    Phi v is extrapolated from the tracked Phi x_k and Phi x_{k-1}, as
+    lambda2 L v is from lambda2 L x_k and lambda2 L x_{k-1}.  A rejected
+    candidate costs one more product of each kind.  The fit stops once
+    max|x_{k+1} - x_k| <= tol or after max_iter iterations, and its
+    ``objective`` is F at the returned beta.
     """
+    l1, l2 = config.lambda1, config.lambda2
 
-    def smooth_grad(beta):
-        grad = yield True, (yield False, beta) - y
-        if L is not None:
-            grad = grad + config.lambda2 * (L @ beta)
-        return grad
+    def at(beta):
+        """(Phi beta, lambda2 L beta, F(beta)): one product with Phi."""
+        u = yield False, beta
+        w = l2 * (L @ beta) if L is not None else np.zeros(p)
+        r = y - u
+        return u, w, 0.5 * float(r @ r) + l1 * float(np.abs(beta).sum()) + 0.5 * float(beta @ w)
 
-    beta = np.zeros(p)
+    def prox_step(beta, u, w):
+        """Proximal-gradient step from beta, given Phi beta and lambda2 L beta."""
+        grad = yield True, u - y
+        return _soft_threshold(beta - step * (grad + w), step * l1)
+
+    x = np.zeros(p)
+    u, w, obj = yield from at(x)
+    x_prev, u_prev, w_prev = x, u, w
+    t = 1.0
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        grad = yield from smooth_grad(beta)
-        cand = _soft_threshold(beta - step * grad, step * config.lambda1)
-        max_change = float(np.max(np.abs(cand - beta)))
-        beta = cand
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        theta = (t - 1.0) / t_next
+        v = x + theta * (x - x_prev)
+        cand = yield from prox_step(v, u + theta * (u - u_prev), w + theta * (w - w_prev))
+        u_new, w_new, obj_new = yield from at(cand)
+        if obj_new > obj:                  # the guard: a plain step from x
+            cand = yield from prox_step(x, u, w)
+            u_new, w_new, obj_new = yield from at(cand)
+            t_next = 1.0
+        elif float((v - cand) @ (cand - x)) > 0.0:     # gradient restart
+            t_next = 1.0
+        max_change = float(np.max(np.abs(cand - x)))
+        x_prev, u_prev, w_prev = x, u, w
+        x, u, w, obj, t = cand, u_new, w_new, obj_new, t_next
         if max_change <= config.tol:
             converged = True
             break
-    r = y - (yield False, beta)
-    pen = config.lambda2 * 0.5 * float(beta @ (L @ beta)) if L is not None else 0.0
-    obj = 0.5 * float(r @ r) + config.lambda1 * float(np.abs(beta).sum()) + pen
-    return LapFit(beta=beta, converged=converged, n_iter=it, objective=obj)
+    return LapFit(beta=x, converged=converged, n_iter=it, objective=obj)
 
 
 def _fit_all(Phi: np.ndarray, y: np.ndarray, adjacency, configs: list[LapConfig]) -> list[LapFit]:
@@ -197,17 +240,18 @@ def _fit_all(Phi: np.ndarray, y: np.ndarray, adjacency, configs: list[LapConfig]
 
 
 def fit(dataset: Dataset, config: LapConfig) -> LapFit:
-    """Proximal gradient at the power-iteration step, one fit alone."""
+    """Monotone FISTA at the power-iteration step, one fit alone."""
     return _fit_all(dataset.Phi, dataset.y, dataset.adjacency, [config])[0]
 
 
-def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
+def tune(dataset: Dataset, grid, seed: int = 0) -> LapTune:
     """Pick the grid config with the lowest prediction error on a holdout split.
 
     ``grid`` is an iterable of LapConfig (or (lambda1, lambda2) pairs); ties
     resolve to the earliest grid entry.  The split is seeded and stratifies
     nothing: a uniformly random 20% of rows are held out.  The grid is fitted
-    in lockstep on the training rows; each fit equals `fit` on them.
+    in lockstep on the training rows; each fit equals `fit` on them.  The
+    result carries every grid fit's convergence flag with the pick.
     """
     grid = [g if isinstance(g, LapConfig) else LapConfig(lambda1=g[0], lambda2=g[1])
             for g in grid]
@@ -226,4 +270,4 @@ def tune(dataset: Dataset, grid, seed: int = 0) -> LapConfig:
         err = float(r @ r) / n_hold
         if err < best_err - 1e-15:
             best_cfg, best_err = cfg, err
-    return best_cfg
+    return LapTune(config=best_cfg, converged=tuple(f.converged for f in fits))

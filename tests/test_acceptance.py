@@ -241,7 +241,7 @@ def test_criterion_7_baseline_ordering():
                                               design_dist=design)
                 trace = se_run(PM_BENCH, lam, 1.0, delta, T=T_ITER + 1)
                 tune_ds = generate(params, 100)
-                cfg = tune(tune_ds, _lap_grid(tune_ds), seed=0)
+                cfg = tune(tune_ds, _lap_grid(tune_ds), seed=0).config
                 amp_pe, lap_pe = [], []
                 for seed in range(3):
                     ds = generate(params, seed)

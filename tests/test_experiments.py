@@ -233,6 +233,34 @@ class TestSpecs:
         assert type(ei.value) is RuntimeError
         assert sorted(os.listdir(tmp_path)) == ["tune_amp.csv", "tune_mi.csv", "tune_se.csv"]
 
+    def test_unconverged_tune_fits_trailer(self, tmp_path, monkeypatch):
+        """Only the baseline CSV names each tune whose grid fits hit max_iter."""
+        import dataclasses
+
+        import netamp.experiments as ex
+
+        real_grid = ex._lap_grid
+
+        def short_grid(ds):                # 5 iterations for lambda1 = 0.02 lam_max at Delta 1
+            grid = real_grid(ds)
+            if ds.params.Delta == 1.0:
+                grid[:3] = [dataclasses.replace(c, max_iter=5) for c in grid[:3]]
+            return grid
+
+        spec = ExperimentSpec(name="unconv", pipelines=("amp", "baseline"), n=60, p=60,
+                              rho=0.3, b_p=6.0, lambdas=(1.0,), deltas=(1.0,),
+                              replicates=2, T=3)
+        paths = ex.run_experiment(spec, str(tmp_path / "converged"))
+        assert "unconverged_tune_fits" not in read_csv(paths["baseline"])[0]
+
+        # at Delta 0.5 the lambda1 = 0.02 lam_max, lambda2 = 0 fit needs over 400
+        monkeypatch.setattr(ex, "_lap_grid", short_grid)
+        spec = dataclasses.replace(spec, deltas=(0.5, 1.0))
+        paths = ex.run_experiment(spec, str(tmp_path / "short"))
+        meta, _, _ = read_csv(paths["baseline"])
+        assert meta["unconverged_tune_fits"] == "1.0:0.5:1/9;1.0:1.0:3/9"
+        assert "unconverged_tune_fits" not in read_csv(paths["amp"])[0]
+
     def test_spec_file_round_trip(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

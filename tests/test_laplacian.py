@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from netamp import laplacian
 from netamp.laplacian import LapConfig, LapFit, fit, graph_laplacian, tune
@@ -45,20 +46,9 @@ def reference_fit(dataset, config):
     def _soft_threshold(x, thr):
         return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
-    def _objective(Phi, y, L, beta, lambda1, lambda2):
-        r = y - Phi @ beta
-        pen = lambda2 * 0.5 * float(beta @ (L @ beta)) if lambda2 > 0 else 0.0
-        return 0.5 * float(r @ r) + lambda1 * float(np.abs(beta).sum()) + pen
-
     Phi, y = dataset.Phi, dataset.y
-    n, p = Phi.shape
+    p = Phi.shape[1]
     L = graph_laplacian(dataset.adjacency) if config.lambda2 > 0 else None
-
-    def smooth_grad(beta):
-        grad = Phi.T @ (Phi @ beta - y)
-        if L is not None:
-            grad = grad + config.lambda2 * (L @ beta)
-        return grad
 
     # Lipschitz constant of the quadratic smooth part by power iteration;
     # the 1.05 inflation covers the estimate converging from below.
@@ -75,20 +65,43 @@ def reference_fit(dataset, config):
         v = w / nrm
     step = 1.0 / (1.05 * nrm) if nrm > 0 else 1.0
 
-    beta = np.zeros(p)
+    l1, l2 = config.lambda1, config.lambda2
+
+    def at(beta):
+        u = Phi @ beta
+        w = l2 * (L @ beta) if L is not None else np.zeros(p)
+        r = y - u
+        return u, w, 0.5 * float(r @ r) + l1 * float(np.abs(beta).sum()) + 0.5 * float(beta @ w)
+
+    def prox_step(beta, u, w):
+        grad = Phi.T @ (u - y)
+        return _soft_threshold(beta - step * (grad + w), step * l1)
+
+    x = np.zeros(p)
+    u, w, obj = at(x)
+    x_prev, u_prev, w_prev = x, u, w
+    t = 1.0
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        grad = smooth_grad(beta)
-        cand = _soft_threshold(beta - step * grad, step * config.lambda1)
-        max_change = float(np.max(np.abs(cand - beta)))
-        beta = cand
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        theta = (t - 1.0) / t_next
+        v = x + theta * (x - x_prev)
+        cand = prox_step(v, u + theta * (u - u_prev), w + theta * (w - w_prev))
+        u_new, w_new, obj_new = at(cand)
+        if obj_new > obj:                  # the guard: a plain step from x
+            cand = prox_step(x, u, w)
+            u_new, w_new, obj_new = at(cand)
+            t_next = 1.0
+        elif float((v - cand) @ (cand - x)) > 0.0:     # gradient restart
+            t_next = 1.0
+        max_change = float(np.max(np.abs(cand - x)))
+        x_prev, u_prev, w_prev = x, u, w
+        x, u, w, obj, t = cand, u_new, w_new, obj_new, t_next
         if max_change <= config.tol:
             converged = True
             break
-    obj = _objective(Phi, y, L if L is not None else sp.csr_array((p, p)),
-                     beta, config.lambda1, config.lambda2)
-    return LapFit(beta=beta, converged=converged, n_iter=it, objective=obj)
+    return LapFit(beta=x, converged=converged, n_iter=it, objective=obj)
 
 
 def objective(Phi, y, L, beta, l1, l2):
@@ -129,6 +142,34 @@ class TestFit:
             objs.append(objective(square_dataset.Phi, square_dataset.y, L,
                                   res.beta, 0.05, 0.3))
         assert all(np.diff(objs) <= 1e-10)
+
+    def test_guard_keeps_descent_above_fista_bound(self, square_dataset):
+        """At step 1.9 / lambda_max FISTA alone may climb; the guard may not.
+
+        The step is above FISTA's 1 / lambda_max bound and below the
+        2 / lambda_max that keeps a plain proximal-gradient step descending.
+        """
+        ds = square_dataset
+        L = graph_laplacian(ds.adjacency)
+        Ld = L.toarray()
+        step = 1.9 / np.linalg.eigvalsh(ds.Phi.T @ ds.Phi + 0.3 * Ld)[-1]
+
+        def fits(configs):
+            return laplacian._lockstep(
+                ds.Phi, [laplacian._fit_steps(60, ds.y, L, c, step) for c in configs])
+
+        budgets = fits([LapConfig(lambda1=0.05, lambda2=0.3, max_iter=k, tol=1e-300)
+                        for k in range(1, 61)])
+        objs = [objective(ds.Phi, ds.y, Ld, res.beta, 0.05, 0.3) for res in budgets]
+        assert all(np.diff(objs) <= 1e-10)
+
+        # No convergence flag here: once F is flat to rounding (iterates
+        # ~1e-8 apart) the guard cannot see the oscillation that a step this
+        # long excites, so max|x_{k+1} - x_k| stays above a 1e-13 tol.
+        [mine] = fits([LapConfig(lambda1=0.05, lambda2=0.3, max_iter=2000, tol=1e-13)])
+        ref = cd_reference(ds.Phi, ds.y, Ld, 0.05, 0.3)
+        assert (objective(ds.Phi, ds.y, Ld, mine.beta, 0.05, 0.3)
+                <= objective(ds.Phi, ds.y, Ld, ref, 0.05, 0.3) + 1e-6)
 
     @pytest.mark.parametrize("n, p", [(400, 200), (300, 300), (200, 400)])
     @pytest.mark.parametrize("design_dist", ["gaussian", "bernoulli"])
@@ -211,7 +252,7 @@ class TestLaplacianMatrix:
 
 class TestTune:
     def test_single_point_grid(self, square_dataset):
-        cfg = tune(square_dataset, [(0.1, 0.5)])
+        cfg = tune(square_dataset, [(0.1, 0.5)]).config
         assert (cfg.lambda1, cfg.lambda2) == (0.1, 0.5)
 
     def test_all_zero_response_ties_to_first(self, square_dataset):
@@ -219,12 +260,12 @@ class TestTune:
 
         ds0 = dataclasses.replace(square_dataset, y=np.zeros(60))
         grid = [(0.3, 0.0), (0.1, 1.0), (0.0, 0.0)]
-        cfg = tune(ds0, grid)
+        cfg = tune(ds0, grid).config
         assert (cfg.lambda1, cfg.lambda2) == (0.3, 0.0)
 
     def test_matches_exhaustive(self, square_dataset):
         grid = [(l1, l2) for l1 in (0.0, 0.05, 0.2) for l2 in (0.0, 0.3, 1.0)]
-        picked = tune(square_dataset, grid, seed=5)
+        picked = tune(square_dataset, grid, seed=5).config
 
         # independent exhaustive evaluation with the same split
         rng = np.random.default_rng(5)
@@ -243,6 +284,20 @@ class TestTune:
             errs.append(float(r @ r) / hold.sum())
         best = grid[int(np.argmin(errs))]
         assert (picked.lambda1, picked.lambda2) == best
+
+    def test_reports_every_grid_flag(self, square_dataset):
+        """The flags of the training-row fits, in grid order, come with the pick."""
+        grid = [LapConfig(lambda1=l1, lambda2=l2, max_iter=60)
+                for l1 in (0.0, 0.05, 0.2) for l2 in (0.0, 0.3, 1.0)]
+        tuned = tune(square_dataset, grid, seed=5)
+        rng = np.random.default_rng(5)
+        hold = np.zeros(60, dtype=bool)
+        hold[rng.choice(60, size=12, replace=False)] = True
+        fits = laplacian._fit_all(square_dataset.Phi[~hold], square_dataset.y[~hold],
+                                  square_dataset.adjacency, grid)
+        flags = tuple(f.converged for f in fits)
+        assert tuned.converged == flags
+        assert True in flags and False in flags
 
     def test_empty_grid(self, square_dataset):
         with pytest.raises(ValueError):

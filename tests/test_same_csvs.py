@@ -38,8 +38,28 @@ def test_differing_and_missing_fail(tmp_path):
     _write(b, "deep/only_b.csv", "t\n")
     code, out = _run(a, b)
     assert code == 1
-    assert out == ["differs: moved.csv", "missing: deep/only_b.csv",
+    assert out == ["differs: moved.csv", "  columns: t", "missing: deep/only_b.csv",
                    "missing: only_a.csv", "1 identical, 1 differing, 2 missing"]
+
+
+def test_differing_columns_named(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    head = "# schema = 1\nlambda,Delta,pred_error,lambda1,converged\n"
+    _write(a, "base.csv", head + "3.0,0.5,0.25,0.1,0\n3.0,3.5,0.5,0.2,1\n")
+    _write(b, "base.csv", head + "3.0,0.5,0.24,0.1,1\n3.0,3.5,0.5,0.2,1\n")
+    _write(a, "trailer.csv", head + "3.0,0.5,0.25,0.1,0\n")
+    _write(b, "trailer.csv", head + "3.0,0.5,0.25,0.1,0\n# unconverged_tune_fits = x\n")
+    _write(a, "rows.csv", "t,v\n0,1\n")
+    _write(b, "rows.csv", "t,v\n0,1\n1,1\n")
+    _write(a, "header.csv", "t,v\n0,1\n")
+    _write(b, "header.csv", "t,w\n0,1\n")
+    code, out = _run(a, b)
+    assert code == 1
+    assert out == ["differs: base.csv", "  columns: pred_error, converged",
+                   "differs: header.csv", "  columns: v, w",
+                   "differs: rows.csv", "  columns: t, v",
+                   "differs: trailer.csv", "  columns: none",
+                   "0 identical, 4 differing, 0 missing"]
 
 
 def test_bad_arguments(tmp_path):
