@@ -12,6 +12,10 @@ subdirectory of OUT_DIR:
   design;
 - ``builtin_spec("figure1a")``, the full 4 x 4 (lambda, Delta) grid of the
   limiting mutual information, at threads 1;
+- ``table1_amp``: ``builtin_spec("table1-amp")``'s model, 6 Deltas and
+  2 lambdas at toy n != p, with the ``amp`` pipeline beside its ``fdr``, at
+  threads 1, so one draw's runs go 6 wide in lockstep and share one
+  ``Phi / sqrt(kappa)`` at kappa != 1;
 - a spec in which ``generate`` raises on one replicate seed, and one in which
   it raises on the baseline's tuning seed, each at threads 1 and 2;
 - ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
@@ -73,9 +77,13 @@ def cases(workloads) -> list[tuple[str, dict | str, int, int | None]]:
                 (f"all_t{threads}", _all_pipelines("all"), threads, None),
                 (f"generate_fails_t{threads}", generate_fails, threads, 1),
                 (f"tune_fails_t{threads}", tune_fails, threads, 2)]
+    table1_amp = dict(name="table1_amp", pipelines=("amp", "fdr"), n=240, p=200,
+                      rho=0.07, b_p=100.0, lambdas=(5.0, 10.0),
+                      deltas=(0.5, 1.05, 1.79, 2.52, 3.26, 4.0), replicates=3)
     out += [("kappa", _all_pipelines("kappa", n=180), 1, None),
             ("bernoulli", _all_pipelines("bernoulli", design="bernoulli"), 1, None),
-            ("figure1a", "figure1a", 1, None)]
+            ("figure1a", "figure1a", 1, None),
+            ("table1_amp", table1_amp, 1, None)]
     return out
 
 

@@ -20,7 +20,7 @@ from .synth import (Dataset, ModelParams, ap_to_snr, centered_adjacency_apply,
                     snr_to_ap, with_delta)
 from .state_evolution import SeFixedPoint, SeTrace, fixed_point, predicted_errors, se_run
 from .amp import AmpConfig, AmpResult, run
-from .rs_potential import OptimalityReport, RsEvaluation, minimize, optimality_check, rs_value
+from .rs_potential import RsEvaluation, minimize, rs_value
 from .inference import (CredibleIntervals, DiscoveryResult, credible_intervals,
                         discover, mse_beta, mse_sigma, pvalues)
 from .laplacian import LapConfig, LapFit, LapTune, fit, graph_laplacian, tune
@@ -34,7 +34,7 @@ __all__ = [
     "with_delta",
     "SeFixedPoint", "SeTrace", "fixed_point", "predicted_errors", "se_run",
     "AmpConfig", "AmpResult", "run",
-    "OptimalityReport", "RsEvaluation", "minimize", "optimality_check", "rs_value",
+    "RsEvaluation", "minimize", "rs_value",
     "CredibleIntervals", "DiscoveryResult", "credible_intervals", "discover",
     "mse_beta", "mse_sigma", "pvalues",
     "LapConfig", "LapFit", "LapTune", "fit", "graph_laplacian", "tune",

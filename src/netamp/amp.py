@@ -20,6 +20,11 @@ Initialization is uninformative: sigma^0 = rho * 1 and
 beta^0 = E[B] * 1 with z^{-1} = 0, so the t = 0 sigma denoiser is the
 constant rho (no B-side observation exists yet) and the t = 0 residual is
 plain y0 - S beta^0.
+
+The loop is one generator that yields its products with the graph and the
+design (`_steps`).  `run` drives a single one through `netamp.lockstep`, and
+`run_draw` drives the runs of one draw's noise levels side by side, so each
+round reads S and the graph once for all of them.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .errors import DimensionMismatch, DivergedIteration
 from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule,
                      ScalarChannelParams, _posterior_moments)
 from .state_evolution import SeTrace, se_run
-from .synth import Dataset, ModelParams, centered_adjacency_apply, gaussian_surrogate
+from .lockstep import lockstep
+from .synth import Dataset, ModelParams, centered_product, gaussian_surrogate
 
-__all__ = ["AmpConfig", "AmpResult", "run"]
+__all__ = ["AmpConfig", "AmpResult", "run", "run_draw"]
 
 
 @dataclass(frozen=True)
@@ -104,36 +110,39 @@ def _check_finite(name: str, arr: np.ndarray, t: int) -> None:
         raise DivergedIteration(f"{name} contains NaN/Inf at iteration {t}")
 
 
-def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
-        config: AmpConfig = AmpConfig(),
-        quad: QuadratureRule = DEFAULT_QUAD,
-        se_trace: SeTrace | None = None) -> AmpResult:
-    """Run the full iteration on one dataset.
+def _scaled_design(dataset: Dataset, kappa: float) -> np.ndarray:
+    """S = Phi / sqrt(kappa).  Phi / sqrt(1.0) is Phi bit for bit, so S is Phi
+    itself at kappa = 1; nothing writes into S."""
+    return dataset.Phi if kappa == 1.0 else dataset.Phi / math.sqrt(kappa)
 
-    The state-evolution trace is computed from (prior, params) when not
-    supplied; it must cover indices 0 .. T+1.
+
+def _steps(dataset: Dataset, prior: PriorSpec, params: ModelParams, config: AmpConfig,
+           se_trace: SeTrace, S: np.ndarray):
+    """The iteration as a generator of product requests; returns the AmpResult.
+
+    Yields ``(A, transpose, v)`` for each product with the graph, with S and
+    S.T, and with Phi for the recorded prediction error, and expects
+    ``A.T @ v`` or ``A @ v`` back (see `netamp.lockstep`).  The posterior
+    moments it keeps are fresh arrays, not the kernels' workspace, so other
+    runs may use the kernels while this one waits at a yield.
     """
     p, n = params.p, params.n
     if dataset.Phi.shape != (n, p) or dataset.sigma0.shape[0] != p:
         raise DimensionMismatch("dataset dimensions do not match params")
     kappa = params.kappa
-    lam = params.lam
     T = config.T
-
-    if se_trace is None:
-        se_trace = se_run(prior, lam, kappa, params.Delta, T + 1, quad)
     if len(se_trace) < T + 2:
         raise ValueError("state-evolution trace too short for T iterations")
-
-    # Phi / sqrt(1.0) is Phi bit for bit, and nothing below writes into S
-    S = dataset.Phi if kappa == 1.0 else dataset.Phi / math.sqrt(kappa)
     y0 = dataset.y / math.sqrt(kappa)
 
     if config.matrix_mode == "gaussian-surrogate":
-        A_tilde = gaussian_surrogate(dataset.sigma0, lam, dataset.seed)
-        apply_graph = lambda v: A_tilde @ v
+        A_tilde = gaussian_surrogate(dataset.sigma0, params.lam, dataset.seed)
+
+        def apply_graph(v):
+            return (yield A_tilde, False, v)
     else:
-        apply_graph = lambda v: centered_adjacency_apply(dataset, v)
+        def apply_graph(v):
+            return centered_product(dataset, (yield dataset.adjacency, False, v), v)
 
     sigma = np.full(p, prior.rho)
     beta = np.full(p, prior.mean_b())
@@ -152,22 +161,22 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
         overlap[t] = float(sig_hat @ dataset.sigma0) / p
         diff = bet - dataset.beta0
         mse_beta[t] = float(diff @ diff) / p
-        resid = dataset.Phi @ diff
+        resid = yield dataset.Phi, False, diff
         pred_error[t] = float(resid @ resid) / n
 
     r = np.zeros(p)
     for t in range(T):
         ch_f = _channel(se_trace, t)
         r, df_mean = _f_and_partial(sigma, b_prev, ch_f, prior)
-        record(t, r, beta)
+        yield from record(t, r, beta)
 
-        sigma_next = apply_graph(r) / math.sqrt(p) - df_mean * r_prev
+        sigma_next = (yield from apply_graph(r)) / math.sqrt(p) - df_mean * r_prev
         _check_finite("sigma", sigma_next, t)
 
-        z = y0 - S @ beta + (omega / kappa) * z_prev
+        z = y0 - (yield S, False, beta) + (omega / kappa) * z_prev
         _check_finite("z", z, t)
 
-        b = S.T @ z + beta
+        b = (yield S, True, z) + beta
         ch_z = _beta_channel(se_trace, t)
         # omega is the Onsager mean of the map that made beta^{t+1}: step t+1 needs it
         beta_next, omega = _zeta_and_partial(b, sigma_next, ch_z, prior)
@@ -183,8 +192,51 @@ def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
     sigma_hat, _ = _f_and_partial(sigma, b_prev, ch_f, prior)
     sigma_hat = np.clip(sigma_hat, 0.0, 1.0)
     beta = np.clip(beta, -prior.s_max, prior.s_max)
-    record(T, sigma_hat, beta)
+    yield from record(T, sigma_hat, beta)
 
     return AmpResult(sigma_iter=sigma, sigma_hat=sigma_hat, beta_hat=beta,
                      z=z_prev, overlap=overlap, mse_beta=mse_beta,
                      pred_error=pred_error, se_trace=se_trace, config=config)
+
+
+def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
+        config: AmpConfig = AmpConfig(),
+        quad: QuadratureRule = DEFAULT_QUAD,
+        se_trace: SeTrace | None = None) -> AmpResult:
+    """Run the full iteration on one dataset.
+
+    The state-evolution trace is computed from (prior, params) when not
+    supplied; it must cover indices 0 .. T+1.
+    """
+    if se_trace is None:
+        se_trace = se_run(prior, params.lam, params.kappa, params.Delta, config.T + 1, quad)
+    S = _scaled_design(dataset, params.kappa)
+    return lockstep([_steps(dataset, prior, params, config, se_trace, S)])[0]
+
+
+def run_draw(datasets: list[Dataset], prior: PriorSpec, config: AmpConfig,
+             se_traces: list[SeTrace], wrap=None) -> list:
+    """`run` on datasets of one draw, such as its Deltas, all in lockstep.
+
+    The datasets must share the draw's Phi, as `synth.with_delta` makes
+    them, and each runs at its own params with its own trace.  S is built
+    once, and each round serves every run's products with the graph, S, S.T
+    and Phi together, so every operator is read once per round instead of
+    once per run.  Each result equals `run`'s on the same inputs bit for bit
+    at one BLAS thread.
+
+    ``wrap(dataset, gen)``, when given, returns the generator to drive in
+    place of a run's own, and its return value becomes that run's result:
+    a wrapper that catches what the run raises keeps one failed run from
+    stopping the others.
+    """
+    if not datasets:
+        return []
+    if any(ds.Phi is not datasets[0].Phi for ds in datasets):
+        raise ValueError("run_draw needs datasets that share one Phi")
+    S = _scaled_design(datasets[0], datasets[0].params.kappa)
+    gens = [_steps(ds, prior, ds.params, config, trace, S)
+            for ds, trace in zip(datasets, se_traces, strict=True)]
+    if wrap is not None:
+        gens = [wrap(ds, gen) for ds, gen in zip(datasets, gens)]
+    return lockstep(gens)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .amp import AmpConfig, run
+from .amp import AmpConfig, run, run_draw
 from .inference import credible_intervals, discover, pvalues
 from .laplacian import LapConfig, LapTune, fit, tune
 from .priors import PriorSpec, QuadratureRule
@@ -347,14 +347,28 @@ def _attempt(fn, *args, **kwargs) -> tuple[str, object]:
         return _failure(exc)
 
 
+def _isolated(ds, gen):
+    """One sbm-mode run's generator, returning ("ok", result) or ("err", message).
+
+    The per-run hook that `_replicate_job` passes to `run_draw`: a run that
+    raises fails its own units only, and the other runs of the draw go on.
+    ``ds`` names the run, so a replacement hook can single one out.
+    """
+    try:
+        return ("ok", (yield from gen))
+    except Exception as exc:          # replicate failures are recorded, not fatal
+        return _failure(exc)
+
+
 def _replicate_job(args) -> dict:
     """Every (pipeline, Delta) unit of one (lambda, seed).
 
     One draw at the first Delta, re-noised for each other Delta, and one
-    sbm-mode run per Delta shared by the AMP pipelines.  Returns
-    {(pipeline, Delta): ("ok", row) | ("err", message)}; a failed draw or run
-    is reported on every unit that needed it.  ``cfgs`` maps Delta to the
-    tuned baseline config, or to None where tuning failed.
+    sbm-mode run per Delta shared by the AMP pipelines; the runs of all
+    Deltas go in lockstep through `run_draw`.  Returns {(pipeline, Delta):
+    ("ok", row) | ("err", message)}; a failed draw or run is reported on
+    every unit that needed it.  ``cfgs`` maps Delta to the tuned baseline
+    config, or to None where tuning failed.
     """
     spec, lam, seed, traces, cfgs = args
     pls = [pl for pl in REPLICATE_PIPELINES if pl in spec.pipelines]
@@ -364,22 +378,26 @@ def _replicate_job(args) -> dict:
         base = generate(_make_params(spec, lam, spec.deltas[0]), seed)
     except Exception as exc:
         return {(pl, delta): _failure(exc) for pl in pls for delta in spec.deltas}
+    draws = {}
     for delta in spec.deltas:
         try:
             ds = base if delta == base.params.Delta else with_delta(base, delta)
         except Exception as exc:
             units.update({(pl, delta): _failure(exc) for pl in pls})
             continue
+        draws[delta] = ds
         if "baseline" in pls and cfgs[delta] is not None:
             units[("baseline", delta)] = _attempt(_baseline_row, ds, cfgs[delta])
-        if not amp_pls:
-            continue
-        trace = traces[delta]
-        ran = _attempt(run, ds, spec.prior(), ds.params,
-                       AmpConfig(T=spec.T, record_history=False), se_trace=trace)
+    if not amp_pls:
+        return units
+    ran = run_draw(list(draws.values()), spec.prior(),
+                   AmpConfig(T=spec.T, record_history=False),
+                   [traces[delta] for delta in draws], wrap=_isolated)
+    for (delta, ds), outcome in zip(draws.items(), ran):
         for pl in amp_pls:
-            units[(pl, delta)] = (ran if ran[0] == "err" else
-                                  _attempt(_PIPELINES[pl].amp_row, spec, ds, ran[1], trace))
+            units[(pl, delta)] = (outcome if outcome[0] == "err" else
+                                  _attempt(_PIPELINES[pl].amp_row, spec, ds, outcome[1],
+                                           traces[delta]))
     return units
 
 

@@ -14,10 +14,11 @@ adjacent vertices together, which is how the side network enters this
 estimator; it is the comparison point for the message-passing approach.
 
 Each fit is a generator that yields the products with the design it needs
-(``Phi @ v`` or ``Phi.T @ r``), and `_lockstep` serves them.  `tune` runs its
-whole grid in lockstep, so each cache-sized slab of ``Phi`` is read once per
-round for all pending fits instead of once per fit.  A slab product has the
-bits of the full product, so every fit equals the one `fit` gives alone.
+(``Phi @ v`` or ``Phi.T @ r``), and `netamp.lockstep` serves them.  `tune`
+runs its whole grid in lockstep, so each cache-sized slab of ``Phi`` is read
+once per round for all pending fits instead of once per fit.  A slab product
+has the bits of the full product, so every fit equals the one `fit` gives
+alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .lockstep import lockstep
 from .synth import Dataset
 
 __all__ = ["LapConfig", "LapFit", "LapTune", "fit", "tune", "graph_laplacian"]
-
-# Rows per slab of a lockstep product: a 64 x 2000 float64 slab (1 MB) stays
-# in L2 while every pending request of the round reads it.
-SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -75,70 +73,7 @@ def _soft_threshold(x: np.ndarray, thr: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
 
-def _slab_bounds(size: int) -> list[tuple[int, int]]:
-    """[i0, i1) ranges of SLAB rows covering range(size).
-
-    A 1-wide tail joins the slab before it: numpy computes a one-row
-    matrix-vector product as a dot product, whose bits can differ from the
-    full product's.
-    """
-    edges = [*range(0, size, SLAB), size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _products(Phi: np.ndarray, requests: list[tuple[bool, np.ndarray]]) -> list[np.ndarray]:
-    """Serve one round of (transpose, v) requests: Phi.T @ v or Phi @ v.
-
-    The requests of one kind share each slab of Phi (row slabs for Phi @ v,
-    column slabs for Phi.T @ r) while it is in cache.  A slab product has
-    the bits of the same rows of the full product, so every request gets
-    what a product of its own would give.  A kind requested once gets the
-    full product, which is faster for a single vector.
-    """
-    out: list = [None] * len(requests)
-    for transpose in (False, True):
-        A = Phi.T if transpose else Phi
-        idx = [k for k, (t, _) in enumerate(requests) if t is transpose]
-        if len(idx) == 1:
-            out[idx[0]] = A @ requests[idx[0]][1]
-            continue
-        for k in idx:
-            out[k] = np.empty(A.shape[0])
-        for i0, i1 in _slab_bounds(A.shape[0]):
-            slab = A[i0:i1]
-            for k in idx:
-                np.matmul(slab, requests[k][1], out=out[k][i0:i1])
-    return out
-
-
-def _lockstep(Phi: np.ndarray, gens: list) -> list:
-    """Run generators that yield (transpose, v) requests; their return values.
-
-    Each round serves the pending request of every unfinished generator in
-    one `_products` call and sends each generator its product.
-    """
-    results: list = [None] * len(gens)
-    pending: dict[int, tuple[bool, np.ndarray]] = {}
-
-    def advance(k, product):
-        try:
-            pending[k] = gens[k].send(product)
-        except StopIteration as stop:
-            pending.pop(k, None)
-            results[k] = stop.value
-
-    for k in range(len(gens)):
-        advance(k, None)
-    while pending:
-        keys = list(pending)
-        for k, product in zip(keys, _products(Phi, [pending[k] for k in keys])):
-            advance(k, product)
-    return results
-
-
-def _step_size(p: int, L, lambda2: float):
+def _step_size(Phi: np.ndarray, L, lambda2: float):
     """Generator of the step 1 / (1.05 ||Phi^T Phi + lambda2 L||).
 
     The Lipschitz constant lambda_max of the quadratic smooth part comes from
@@ -150,10 +85,10 @@ def _step_size(p: int, L, lambda2: float):
     lambda1.
     """
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(p)
+    v = rng.standard_normal(Phi.shape[1])
     nrm = 1.0
     for _ in range(30):
-        w = yield True, (yield False, v)
+        w = yield Phi, True, (yield Phi, False, v)
         if L is not None:
             w = w + lambda2 * (L @ v)
         nrm = float(np.linalg.norm(w))
@@ -163,7 +98,7 @@ def _step_size(p: int, L, lambda2: float):
     return 1.0 / (1.05 * nrm) if nrm > 0 else 1.0
 
 
-def _fit_steps(p: int, y: np.ndarray, L, config: LapConfig, step: float):
+def _fit_steps(Phi: np.ndarray, y: np.ndarray, L, config: LapConfig, step: float):
     """Generator of one fit: monotone FISTA with gradient restart.
 
     FISTA (Beck & Teboulle 2009) takes each proximal-gradient step from the
@@ -187,18 +122,19 @@ def _fit_steps(p: int, y: np.ndarray, L, config: LapConfig, step: float):
     max|x_{k+1} - x_k| <= tol or after max_iter iterations, and its
     ``objective`` is F at the returned beta.
     """
+    p = Phi.shape[1]
     l1, l2 = config.lambda1, config.lambda2
 
     def at(beta):
         """(Phi beta, lambda2 L beta, F(beta)): one product with Phi."""
-        u = yield False, beta
+        u = yield Phi, False, beta
         w = l2 * (L @ beta) if L is not None else np.zeros(p)
         r = y - u
         return u, w, 0.5 * float(r @ r) + l1 * float(np.abs(beta).sum()) + 0.5 * float(beta @ w)
 
     def prox_step(beta, u, w):
         """Proximal-gradient step from beta, given Phi beta and lambda2 L beta."""
-        grad = yield True, u - y
+        grad = yield Phi, True, u - y
         return _soft_threshold(beta - step * (grad + w), step * l1)
 
     x = np.zeros(p)
@@ -230,13 +166,12 @@ def _fit_steps(p: int, y: np.ndarray, L, config: LapConfig, step: float):
 
 def _fit_all(Phi: np.ndarray, y: np.ndarray, adjacency, configs: list[LapConfig]) -> list[LapFit]:
     """Fit every config on (Phi, y) in lockstep, one power iteration per lambda2."""
-    p = Phi.shape[1]
     L = graph_laplacian(adjacency) if any(c.lambda2 > 0 for c in configs) else None
     lambda2s = list(dict.fromkeys(c.lambda2 for c in configs))
-    steps = _lockstep(Phi, [_step_size(p, L if l2 > 0 else None, l2) for l2 in lambda2s])
+    steps = lockstep([_step_size(Phi, L if l2 > 0 else None, l2) for l2 in lambda2s])
     step_of = dict(zip(lambda2s, steps))
-    return _lockstep(Phi, [_fit_steps(p, y, L if c.lambda2 > 0 else None, c, step_of[c.lambda2])
-                           for c in configs])
+    return lockstep([_fit_steps(Phi, y, L if c.lambda2 > 0 else None, c, step_of[c.lambda2])
+                     for c in configs])
 
 
 def fit(dataset: Dataset, config: LapConfig) -> LapFit:

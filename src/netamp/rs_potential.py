@@ -29,8 +29,7 @@ import numpy as np
 from .priors import DEFAULT_QUAD, PriorSpec, QuadratureRule, scalar_mi
 from .state_evolution import SeFixedPoint, _residual, fixed_point
 
-__all__ = ["RsEvaluation", "OptimalityReport", "rs_value", "minimize", "coincide",
-           "optimality_check"]
+__all__ = ["RsEvaluation", "rs_value", "minimize", "coincide"]
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,6 @@ class RsEvaluation:
     value: float
     stationarity_residual: float
     candidates: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    fixed_point: SeFixedPoint
-    mu_bar: float
-    xi_bar: float
-    mi: float
-    coincide: bool
-    mmse_pred: float
-    y_mmse_pred: float
 
 
 def _rs_rest(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float) -> float:
@@ -221,18 +209,3 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
 def coincide(fp: SeFixedPoint, ev: RsEvaluation) -> bool:
     """Whether the fixed point and the potential's minimizer agree within 1e-4 in mu and xi."""
     return abs(fp.mu_star - ev.mu_bar) <= 1e-4 and abs(fp.xi_star - ev.xi_bar) <= 1e-4
-
-
-def optimality_check(prior: PriorSpec, lam: float, kappa: float, Delta: float,
-                     quad: QuadratureRule = DEFAULT_QUAD) -> OptimalityReport:
-    """Compare the iterative fixed point with the potential's global minimizer."""
-    fp = fixed_point(prior, lam, kappa, Delta, quad=quad)
-    ev = minimize(prior, lam, kappa, Delta, quad=quad, uninformative=fp)
-    if lam > 0:
-        mmse_pred = prior.rho**2 - (ev.mu_bar / lam) ** 2
-    else:
-        mmse_pred = prior.rho**2
-    y_mmse_pred = Delta * ev.xi_bar / (1.0 + ev.xi_bar)
-    return OptimalityReport(fixed_point=fp, mu_bar=ev.mu_bar, xi_bar=ev.xi_bar,
-                            mi=ev.value, coincide=coincide(fp, ev),
-                            mmse_pred=mmse_pred, y_mmse_pred=y_mmse_pred)

@@ -37,6 +37,7 @@ __all__ = [
     "generate",
     "with_delta",
     "centered_adjacency_apply",
+    "centered_product",
     "centered_adjacency_dense",
     "gaussian_surrogate",
     "save_dataset",
@@ -270,21 +271,26 @@ def with_delta(dataset: Dataset, Delta: float) -> Dataset:
     return dataclasses.replace(dataset, params=params, y=y)
 
 
-def centered_adjacency_apply(dataset: Dataset, v: np.ndarray) -> np.ndarray:
-    """Product of the centered, scaled adjacency with v, without densifying.
+def centered_product(dataset: Dataset, av: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The centered, scaled adjacency times v, from the sparse product av = A @ v.
 
     The centered matrix is (A - d) / sqrt(d (1 - d)) with d = b_p/p applied
-    entrywise (diagonal included), so the product is the sparse A @ v minus
-    the rank-one correction d * sum(v).
+    entrywise (diagonal included), so its product with v is A @ v minus the
+    rank-one correction d * sum(v), scaled.  Every centered product, in
+    `centered_adjacency_apply` and in the message-passing loop, is made here.
     """
     d = dataset.d_bar
     if d <= 0.0 or d >= 1.0:
         raise ZeroDivisionError("centered adjacency undefined for b_p in {0, p}")
+    return (av - d * v.sum()) / math.sqrt(d * (1.0 - d))
+
+
+def centered_adjacency_apply(dataset: Dataset, v: np.ndarray) -> np.ndarray:
+    """Product of the centered, scaled adjacency with v, without densifying."""
     v = np.asarray(v, dtype=float)
     if v.shape[0] != dataset.params.p:
         raise DimensionMismatch("vector length does not match p")
-    av = dataset.adjacency @ v
-    return (av - d * v.sum()) / math.sqrt(d * (1.0 - d))
+    return centered_product(dataset, dataset.adjacency @ v, v)
 
 
 def centered_adjacency_dense(dataset: Dataset) -> np.ndarray:

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import netamp.lockstep
 from netamp.amp import (AmpConfig, _beta_channel, _channel, _f_and_partial,
-                        _zeta_and_partial, run)
+                        _zeta_and_partial, run, run_draw)
 from netamp.errors import DimensionMismatch
 from netamp.priors import ScalarChannelParams, denoise_beta, denoise_sigma, spike_slab
 from netamp.state_evolution import fixed_point, se_run
 from netamp.synth import (ModelParams, centered_adjacency_apply,
-                          centered_adjacency_dense, gaussian_surrogate, generate)
+                          centered_adjacency_dense, gaussian_surrogate, generate,
+                          with_delta)
 
 
 def reference_amp(ds, prior, trace, T):
@@ -135,9 +137,11 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n", [50, 60])
     @pytest.mark.parametrize("matrix_mode", ["sbm", "gaussian-surrogate"])
     @pytest.mark.parametrize("record_history", [True, False])
-    def test_outputs_equal_loop_reference(self, n, matrix_mode, record_history):
+    def test_outputs_equal_loop_reference(self, n, matrix_mode, record_history, monkeypatch):
         """Every output array equals the plain loop's bit for bit, at kappa = 1
-        (no copy of Phi) and kappa = 1.2."""
+        (no copy of Phi) and kappa = 1.2: a run alone, and each run of one
+        draw's three Deltas in lockstep.  The lockstep runs share 8-row slabs
+        of S and Phi, with a 2- or 4-wide tail, and one graph block product."""
         prior = spike_slab(0.6, [-1.0, 1.0])
         params = ModelParams.from_snr(n=n, p=50, Delta=0.8, b_p=8.0, lam=2.0,
                                       prior=prior)
@@ -148,6 +152,14 @@ class TestAgainstReference:
         ref = loop_reference_run(ds, prior, params, config, trace)
         for name, want in ref.items():
             assert np.array_equal(getattr(res, name), want, equal_nan=True), name
+
+        monkeypatch.setattr(netamp.lockstep, "SLAB", 8)
+        draws = [ds, with_delta(ds, 0.3), with_delta(ds, 2.5)]
+        traces = [se_run(prior, 2.0, params.kappa, d.params.Delta, T=9) for d in draws]
+        for got, d, tr in zip(run_draw(draws, prior, config, traces), draws, traces):
+            ref = loop_reference_run(d, prior, d.params, config, tr)
+            for name, want in ref.items():
+                assert np.array_equal(getattr(got, name), want, equal_nan=True), name
 
     def test_first_iterate_structure(self, small_setup):
         """From the prior-mean start the first sigma step is the constant-

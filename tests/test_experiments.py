@@ -27,6 +27,20 @@ def read_csv(path):
     return meta, header, rows
 
 
+def failing_after(gen, yields, exc, counter=None):
+    """A run generator that passes on gen's first `yields` requests, then raises exc.
+
+    It stands in for a run inside `run_draw` through the harness's per-run
+    hook ``_isolated``; ``counter`` (a list) gets one entry per request passed on.
+    """
+    product = None
+    for _ in range(yields):
+        product = yield gen.send(product)
+        if counter is not None:
+            counter.append(1)
+    raise exc
+
+
 def strip_timestamp(path):
     with open(path) as fh:
         return [l for l in fh if not l.startswith("# timestamp")]
@@ -164,14 +178,14 @@ class TestSpecs:
     def test_replicate_failures_recorded_and_fatal_above_threshold(self, tmp_path, monkeypatch):
         import netamp.experiments as ex
 
-        real_run = ex.run
+        real_isolated = ex._isolated
 
-        def explode(ds, *args, **kwargs):
+        def explode(ds, gen):
             if ds.seed % 2 == 0:
-                raise RuntimeError("boom")
-            return real_run(ds, *args, **kwargs)
+                gen = failing_after(gen, 0, RuntimeError("boom"))
+            return real_isolated(ds, gen)
 
-        monkeypatch.setattr(ex, "run", explode)
+        monkeypatch.setattr(ex, "_isolated", explode)
         spec = ExperimentSpec(name="fail", pipelines=("amp",), n=100, p=100,
                               rho=0.3, b_p=10.0, lambdas=(1.0,), deltas=(1.0,),
                               replicates=4, T=3)
@@ -186,20 +200,20 @@ class TestSpecs:
         """A failed draw or run fans out to every (pipeline, Delta) unit it fed."""
         import netamp.experiments as ex
 
-        real_generate, real_run = ex.generate, ex.run
+        real_generate, real_isolated = ex.generate, ex._isolated
 
         def flaky_generate(params, seed):
             if seed == 3:
                 raise RuntimeError("boom")
             return real_generate(params, seed)
 
-        def flaky_run(ds, *args, **kwargs):
+        def flaky_run(ds, gen):
             if ds.seed == 5:
-                raise RuntimeError(f"bad run at Delta={ds.params.Delta}")
-            return real_run(ds, *args, **kwargs)
+                gen = failing_after(gen, 0, RuntimeError(f"bad run at Delta={ds.params.Delta}"))
+            return real_isolated(ds, gen)
 
         monkeypatch.setattr(ex, "generate", flaky_generate)
-        monkeypatch.setattr(ex, "run", flaky_run)
+        monkeypatch.setattr(ex, "_isolated", flaky_run)
         spec = ExperimentSpec(name="trailer", pipelines=("fdr", "amp"), n=60, p=60,
                               rho=0.3, b_p=6.0, lambdas=(1.0,), deltas=(0.5, 1.0),
                               replicates=24, T=3)
@@ -213,6 +227,45 @@ class TestSpecs:
             assert meta["failed_replicates"] == expected
             kept = [r for r in rows if r[2] not in ("mean", "stderr")]
             assert len(kept) == 2 * 22
+
+    def test_run_failing_mid_lockstep_fails_only_its_delta(self, tmp_path, monkeypatch):
+        """One Delta's run raises after some rounds of the draw's lockstep; the
+        other Deltas' runs finish and their rows are those of `run` alone."""
+        import netamp.experiments as ex
+        from netamp.amp import AmpConfig, run
+        from netamp.state_evolution import se_run
+        from netamp.synth import generate, with_delta
+
+        real_isolated = ex._isolated
+        passed = []
+
+        def flaky_run(ds, gen):
+            if ds.seed == 1 and ds.params.Delta == 1.0:
+                gen = failing_after(gen, 5, RuntimeError("mid-lockstep"), passed)
+            return real_isolated(ds, gen)
+
+        monkeypatch.setattr(ex, "_isolated", flaky_run)
+        spec = ExperimentSpec(name="mid", pipelines=("fdr", "amp"), n=70, p=60,
+                              rho=0.3, b_p=6.0, lambdas=(1.0,), deltas=(0.5, 1.0, 2.0),
+                              replicates=4, T=3)
+        paths = ex.run_experiment(spec, str(tmp_path))
+        assert len(passed) == 5
+        quad = QuadratureRule.gauss_hermite(spec.quad_order)
+        base = generate(ex._make_params(spec, 1.0, 0.5), 1)
+        for pl, path in paths.items():
+            meta, header, rows = read_csv(path)
+            # one entry for each of the two pipelines that read the failed run
+            assert meta["failed_replicates"] == ";".join(["1:RuntimeError: mid-lockstep"] * 2)
+            got = {(r[1], r[2]): r for r in rows if r[2] not in ("mean", "stderr")}
+            assert len(got) == 3 * 4 - 1 and ("1.0", "1") not in got
+            for delta in (0.5, 2.0):
+                ds = base if delta == 0.5 else with_delta(base, delta)
+                trace = se_run(spec.prior(), 1.0, spec.kappa(), delta, T=spec.T + 1, quad=quad)
+                alone = run(ds, spec.prior(), ds.params,
+                            AmpConfig(T=spec.T, record_history=False), se_trace=trace)
+                want = _PIPELINES[pl].amp_row(spec, ds, alone, trace)
+                row = dict(zip(header, got[(repr(delta), "1")]))
+                assert all(row[c] == ex.CsvSink._fmt(v) for c, v in want.items())
 
     def test_failed_tune_raises_at_the_baseline_csv(self, tmp_path, monkeypatch):
         import netamp.experiments as ex

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import netamp.lockstep
 from netamp import laplacian
 from netamp.laplacian import LapConfig, LapFit, fit, graph_laplacian, tune
+from netamp.lockstep import lockstep
 from netamp.priors import spike_slab
 from netamp.synth import ModelParams, generate
 
@@ -155,8 +157,7 @@ class TestFit:
         step = 1.9 / np.linalg.eigvalsh(ds.Phi.T @ ds.Phi + 0.3 * Ld)[-1]
 
         def fits(configs):
-            return laplacian._lockstep(
-                ds.Phi, [laplacian._fit_steps(60, ds.y, L, c, step) for c in configs])
+            return lockstep([laplacian._fit_steps(ds.Phi, ds.y, L, c, step) for c in configs])
 
         budgets = fits([LapConfig(lambda1=0.05, lambda2=0.3, max_iter=k, tol=1e-300)
                         for k in range(1, 61)])
@@ -187,8 +188,7 @@ class TestFit:
                                       prior=prior, design_dist=design_dist)
         ds = generate(params, 5)
         L = graph_laplacian(ds.adjacency)
-        [step] = laplacian._lockstep(
-            ds.Phi, [laplacian._step_size(p, L if lambda2 > 0 else None, lambda2)])
+        [step] = lockstep([laplacian._step_size(ds.Phi, L if lambda2 > 0 else None, lambda2)])
         H = ds.Phi.T @ ds.Phi + lambda2 * L.toarray()
         assert step * np.linalg.eigvalsh(H)[-1] < 2.0
 
@@ -205,16 +205,6 @@ class TestFit:
 
 
 class TestLockstep:
-    def test_slab_bounds_cover_without_one_wide_slabs(self, monkeypatch):
-        monkeypatch.setattr(laplacian, "SLAB", 8)
-        for size in range(1, 40):
-            bounds = laplacian._slab_bounds(size)
-            assert bounds[0][0] == 0 and bounds[-1][1] == size
-            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            widths = [i1 - i0 for i0, i1 in bounds]
-            assert max(widths) <= 9
-            assert size == 1 or min(widths) > 1
-
     def test_grid_equals_reference_bit_for_bit(self, monkeypatch):
         """A 3 x 3 grid in lockstep against one plain loop per config.
 
@@ -223,7 +213,7 @@ class TestLockstep:
         single-thread cutoff (m n < 9216), so the bits do not depend on the
         BLAS thread count.
         """
-        monkeypatch.setattr(laplacian, "SLAB", 8)
+        monkeypatch.setattr(netamp.lockstep, "SLAB", 8)
         prior = spike_slab(0.5, [-1.0, 1.0])
         params = ModelParams.from_snr(n=57, p=73, Delta=0.5, b_p=6.0, lam=2.0,
                                       prior=prior)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from netamp.priors import mmse1, mmse2
-from netamp.rs_potential import GridSpec, minimize, optimality_check, rs_value
+from netamp.rs_potential import GridSpec, coincide, minimize, rs_value
 from netamp.state_evolution import fixed_point, predicted_errors
 
 # frozen MC value for the scalar-channel MI at (mu, xi) = (1, 1),
@@ -79,20 +80,28 @@ class TestMinimize:
         assert -1e-12 <= ev.value <= 1e-6
 
 
+def fixed_point_and_minimizer(prior, lam, kappa, Delta):
+    """The fixed point and the potential's minimizer that the harness compares."""
+    fp = fixed_point(prior, lam, kappa, Delta)
+    return fp, minimize(prior, lam, kappa, Delta, uninformative=fp)
+
+
 class TestOptimalityCheck:
     def test_constant_b_coincides(self, b_zero):
-        rep = optimality_check(b_zero, 2.0, 1.0, 1.0)
-        assert rep.coincide
+        assert coincide(*fixed_point_and_minimizer(b_zero, 2.0, 1.0, 1.0))
 
     def test_reference_config_coincides(self, pm7):
-        rep = optimality_check(pm7, 3.0, 1.0, 1.0)
-        assert rep.coincide
-        mse_sig, mse_beta = predicted_errors(rep.fixed_point, pm7, 3.0, 1.0)
-        assert rep.mmse_pred == pytest.approx(mse_sig, abs=1e-6)
-        assert rep.y_mmse_pred == pytest.approx(mse_beta, abs=1e-6)
+        fp, ev = fixed_point_and_minimizer(pm7, 3.0, 1.0, 1.0)
+        assert coincide(fp, ev)
+        # the errors predicted at the minimizer against those at the fixed point
+        at_min = dataclasses.replace(fp, mu_star=ev.mu_bar, xi_star=ev.xi_bar)
+        mse_sig, mse_beta = predicted_errors(fp, pm7, 3.0, 1.0)
+        mmse_pred, y_mmse_pred = predicted_errors(at_min, pm7, 3.0, 1.0)
+        assert mmse_pred == pytest.approx(mse_sig, abs=1e-6)
+        assert y_mmse_pred == pytest.approx(mse_beta, abs=1e-6)
 
     def test_lambda_zero_coincides(self, pm1):
-        rep = optimality_check(pm1, 0.0, 1.0, 1.0)
-        assert rep.coincide
-        assert rep.mu_bar == 0.0
-        assert rep.fixed_point.mu_star == 0.0
+        fp, ev = fixed_point_and_minimizer(pm1, 0.0, 1.0, 1.0)
+        assert coincide(fp, ev)
+        assert ev.mu_bar == 0.0
+        assert fp.mu_star == 0.0
