@@ -19,7 +19,8 @@ subdirectory of OUT_DIR:
 - a spec in which ``generate`` raises on one replicate seed, and one in which
   it raises on the baseline's tuning seed, each at threads 1 and 2;
 - ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
-  ``netamp amp-run`` and ``netamp baseline-lap`` run on it, so the saved
+  ``netamp amp-run`` (in both matrix modes, the surrogate one into
+  ``surrogate/``) and ``netamp baseline-lap`` run on it, so the saved
   ``edges.csv`` and the CSVs of a loaded dataset join the set;
 - ``kernels``: repr'd values of the scalar-channel kernels of
   ``netamp.priors`` (``scalar_mi`` at single points and in 10-wide xi
@@ -93,7 +94,8 @@ DATASET_DRAW = ["--n", "120", "--p", "100", "--rho", "0.3", "--b-p", "50", "--la
 
 
 def dataset_cli(cli, case_dir: str) -> None:
-    """Save the DATASET_DRAW dataset, then run amp-run and baseline-lap on it.
+    """Save the DATASET_DRAW dataset, then run amp-run (sbm and surrogate
+    modes) and baseline-lap on it.
 
     Runs in case_dir with relative paths, so the data path that the CSV
     headers echo is the same for every checkout.
@@ -104,6 +106,8 @@ def dataset_cli(cli, case_dir: str) -> None:
     try:
         for argv in (["generate", *DATASET_DRAW, "--out", "data"],
                      ["amp-run", "--data", "data", "--T", "8", "--out", "."],
+                     ["amp-run", "--data", "data", "--T", "8",
+                      "--matrix-mode", "gaussian-surrogate", "--out", "surrogate"],
                      ["baseline-lap", "--data", "data", "--out", "."]):
             status = cli.main([*argv, "--overwrite"])
             if status:
@@ -235,7 +239,7 @@ def main(argv: list[str]) -> int:
         print(f"{case}: {spec.name} at threads {threads}", file=sys.stderr)
         outcomes.append((case, outcome(run_spec, ex, spec, os.path.join(out_dir, case),
                                        threads, bad_seed)))
-    print("dataset_cli: generate, amp-run, baseline-lap", file=sys.stderr)
+    print("dataset_cli: generate, amp-run (both modes), baseline-lap", file=sys.stderr)
     outcomes.append(("dataset_cli",
                      outcome(dataset_cli, cli, os.path.join(out_dir, "dataset_cli"))))
     print("kernels: scalar-channel kernel values", file=sys.stderr)

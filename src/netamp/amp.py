@@ -21,6 +21,10 @@ beta^0 = E[B] * 1 with z^{-1} = 0, so the t = 0 sigma denoiser is the
 constant rho (no B-side observation exists yet) and the t = 0 residual is
 plain y0 - S beta^0.
 
+A run's model is its dataset's: the denoisers use ``dataset.params.prior``,
+the prior that generated the data, which is what makes them Bayes-optimal,
+and the dimensions, graph SNR and noise level come from ``dataset.params``.
+
 The loop is one generator that yields its products with the graph and the
 design (`_steps`).  `run` drives a single one through `netamp.lockstep`, and
 `run_draw` drives the runs of one draw's noise levels side by side, so each
@@ -35,11 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedIteration
-from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule,
-                     ScalarChannelParams, _posterior_moments)
+from .priors import PriorSpec, ScalarChannelParams, _posterior_moments
 from .state_evolution import SeTrace, se_run
 from .lockstep import lockstep
-from .synth import Dataset, ModelParams, centered_product, gaussian_surrogate
+from .synth import Dataset, centered_product, gaussian_surrogate
 
 __all__ = ["AmpConfig", "AmpResult", "run", "run_draw"]
 
@@ -70,7 +73,6 @@ class AmpResult:
     overlap: np.ndarray             # (1/p) sum sigma_hat^t * sigma0, t = 0..T
     mse_beta: np.ndarray            # (1/p) ||beta^t - beta0||^2, t = 0..T
     pred_error: np.ndarray          # (1/n) ||Phi(beta^t - beta0)||^2, t = 0..T
-    se_trace: SeTrace
     config: AmpConfig = field(repr=False)
 
 
@@ -116,8 +118,7 @@ def _scaled_design(dataset: Dataset, kappa: float) -> np.ndarray:
     return dataset.Phi if kappa == 1.0 else dataset.Phi / math.sqrt(kappa)
 
 
-def _steps(dataset: Dataset, prior: PriorSpec, params: ModelParams, config: AmpConfig,
-           se_trace: SeTrace, S: np.ndarray):
+def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray):
     """The iteration as a generator of product requests; returns the AmpResult.
 
     Yields ``(A, transpose, v)`` for each product with the graph, with S and
@@ -126,6 +127,8 @@ def _steps(dataset: Dataset, prior: PriorSpec, params: ModelParams, config: AmpC
     moments it keeps are fresh arrays, not the kernels' workspace, so other
     runs may use the kernels while this one waits at a yield.
     """
+    params = dataset.params
+    prior = params.prior
     p, n = params.p, params.n
     if dataset.Phi.shape != (n, p) or dataset.sigma0.shape[0] != p:
         raise DimensionMismatch("dataset dimensions do not match params")
@@ -196,34 +199,33 @@ def _steps(dataset: Dataset, prior: PriorSpec, params: ModelParams, config: AmpC
 
     return AmpResult(sigma_iter=sigma, sigma_hat=sigma_hat, beta_hat=beta,
                      z=z_prev, overlap=overlap, mse_beta=mse_beta,
-                     pred_error=pred_error, se_trace=se_trace, config=config)
+                     pred_error=pred_error, config=config)
 
 
-def run(dataset: Dataset, prior: PriorSpec, params: ModelParams,
-        config: AmpConfig = AmpConfig(),
-        quad: QuadratureRule = DEFAULT_QUAD,
+def run(dataset: Dataset, config: AmpConfig = AmpConfig(),
         se_trace: SeTrace | None = None) -> AmpResult:
-    """Run the full iteration on one dataset.
+    """Run the full iteration on one dataset, under the dataset's own model.
 
-    The state-evolution trace is computed from (prior, params) when not
-    supplied; it must cover indices 0 .. T+1.
+    The state-evolution trace is computed from ``dataset.params`` at
+    DEFAULT_QUAD when not supplied; it must cover indices 0 .. T+1.
     """
+    params = dataset.params
     if se_trace is None:
-        se_trace = se_run(prior, params.lam, params.kappa, params.Delta, config.T + 1, quad)
+        se_trace = se_run(params.prior, params.lam, params.kappa, params.Delta, config.T + 1)
     S = _scaled_design(dataset, params.kappa)
-    return lockstep([_steps(dataset, prior, params, config, se_trace, S)])[0]
+    return lockstep([_steps(dataset, config, se_trace, S)])[0]
 
 
-def run_draw(datasets: list[Dataset], prior: PriorSpec, config: AmpConfig,
-             se_traces: list[SeTrace], wrap=None) -> list:
+def run_draw(datasets: list[Dataset], config: AmpConfig, se_traces: list[SeTrace],
+             wrap=None) -> list:
     """`run` on datasets of one draw, such as its Deltas, all in lockstep.
 
     The datasets must share the draw's Phi, as `synth.with_delta` makes
-    them, and each runs at its own params with its own trace.  S is built
-    once, and each round serves every run's products with the graph, S, S.T
-    and Phi together, so every operator is read once per round instead of
-    once per run.  Each result equals `run`'s on the same inputs bit for bit
-    at one BLAS thread.
+    them, and each runs under its own params and prior with its own trace.
+    S is built once, and each round serves every run's products with the
+    graph, S, S.T and Phi together, so every operator is read once per round
+    instead of once per run.  Each result equals `run`'s on the same inputs
+    bit for bit at one BLAS thread.
 
     ``wrap(dataset, gen)``, when given, returns the generator to drive in
     place of a run's own, and its return value becomes that run's result:
@@ -235,7 +237,7 @@ def run_draw(datasets: list[Dataset], prior: PriorSpec, config: AmpConfig,
     if any(ds.Phi is not datasets[0].Phi for ds in datasets):
         raise ValueError("run_draw needs datasets that share one Phi")
     S = _scaled_design(datasets[0], datasets[0].params.kappa)
-    gens = [_steps(ds, prior, ds.params, config, trace, S)
+    gens = [_steps(ds, config, trace, S)
             for ds, trace in zip(datasets, se_traces, strict=True)]
     if wrap is not None:
         gens = [wrap(ds, gen) for ds, gen in zip(datasets, gens)]

@@ -161,13 +161,9 @@ def main(argv=None) -> int:
 
     if args.cmd == "amp-run":
         ds = _load(ap, args.data)
-        prior = ds.params.prior
-        quad = QuadratureRule.gauss_hermite(args.quad_order)
-        trace = se_run(prior, ds.params.lam, ds.params.kappa, ds.params.Delta,
-                       T=args.T + 1, quad=quad)
-        res = run(ds, prior, ds.params,
-                  AmpConfig(T=args.T, matrix_mode=args.matrix_mode),
-                  quad=quad, se_trace=trace)
+        trace = se_run(ds.params.prior, ds.params.lam, ds.params.kappa, ds.params.Delta,
+                       T=args.T + 1, quad=QuadratureRule.gauss_hermite(args.quad_order))
+        res = run(ds, AmpConfig(T=args.T, matrix_mode=args.matrix_mode), se_trace=trace)
         sink = CsvSink(f"{args.out}/amp_run.csv",
                        ["t", "overlap", "mse_beta", "pred_error",
                         "se_overlap_pred", "se_pred_error"],

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .amp import AmpConfig, run, run_draw
-from .inference import credible_intervals, discover, pvalues
+from .inference import credible_intervals, discover, mse_beta, pvalues
 from .laplacian import LapConfig, LapTune, fit, tune
 from .priors import PriorSpec, QuadratureRule
 from .rs_potential import coincide, minimize
@@ -66,17 +66,15 @@ def _coverage_row(spec, ds, res, trace):
 
 
 def _universality_row(spec, ds, res, trace):
-    sur = run(ds, spec.prior(), ds.params,
-              AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
-                        record_history=False), se_trace=trace)
+    sur = run(ds, AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
+                            record_history=False), se_trace=trace)
     o_sbm, o_sur = float(res.overlap[spec.T]), float(sur.overlap[spec.T])
     return {"overlap_sbm": o_sbm, "overlap_surrogate": o_sur, "gap": abs(o_sbm - o_sur)}
 
 
 def _baseline_row(ds, cfg):
     res = fit(ds, cfg)
-    r = ds.Phi @ (res.beta - ds.beta0)
-    return {"pred_error": float(r @ r) / ds.params.n, "lambda1": cfg.lambda1,
+    return {"pred_error": mse_beta(ds.Phi, res.beta, ds.beta0), "lambda1": cfg.lambda1,
             "lambda2": cfg.lambda2, "converged": int(res.converged)}
 
 
@@ -130,7 +128,7 @@ class ExperimentSpec:
     T: int = 25
     quad_order: int = 41
     alpha: float = 0.1
-    kappa_mi: float | None = None      # overrides n/p for scalar-only pipelines
+    kappa_mi: float | None = None      # overrides n/p; se and mi pipelines only
 
     def __post_init__(self):
         problems = []
@@ -157,6 +155,11 @@ class ExperimentSpec:
             problems.append("T must be at least 1")
         if self.design not in ("gaussian", "bernoulli"):
             problems.append(f"unknown design {self.design!r}")
+        amp_pls = [pl for pl in self.pipelines if pl in AMP_PIPELINES]
+        if self.kappa_mi is not None and amp_pls:
+            # their runs see data drawn at n/p, so a trace at kappa_mi would not track them
+            problems.append(f"kappa_mi applies to se and mi pipelines only, "
+                            f"not to {amp_pls}; set n and p instead")
         if problems:
             raise ValueError("invalid experiment spec: " + "; ".join(problems))
 
@@ -226,8 +229,28 @@ def floats(s) -> tuple[float, ...]:
     return tuple(float(x) for x in str(s).split(",") if str(x).strip())
 
 
+def _names(s) -> tuple[str, ...]:
+    return tuple(x.strip() for x in s.split(","))
+
+
+# spec file section -> key (as configparser lowercases it) -> (spec field, parser)
+_SPEC_FILE_KEYS = {
+    "experiment": {"name": ("name", str), "pipelines": ("pipelines", _names),
+                   "replicates": ("replicates", int), "base_seed": ("base_seed", int),
+                   "t": ("T", int), "quad_order": ("quad_order", int),
+                   "alpha": ("alpha", float)},
+    "model": {"n": ("n", int), "p": ("p", int), "rho": ("rho", float),
+              "slab": ("slab", floats), "b_p": ("b_p", float),
+              "lambda": ("lambdas", floats), "delta": ("deltas", floats),
+              "design": ("design", str), "kappa": ("kappa_mi", float)},
+}
+
+
 def load_spec_file(path: str) -> ExperimentSpec:
-    """Parse a flat key = value spec file with [experiment] and [model] sections."""
+    """Parse a flat key = value spec file with [experiment] and [model] sections.
+
+    A section or key the format does not name is an error, not ignored.
+    """
     import configparser
 
     cp = configparser.ConfigParser()
@@ -238,36 +261,17 @@ def load_spec_file(path: str) -> ExperimentSpec:
             raise ValueError(f"spec file {path}: {exc}") from exc
     if not cp.has_section("experiment"):
         raise ValueError(f"spec file {path} has no [experiment] section")
-    exp = cp["experiment"]
-    model = cp["model"] if cp.has_section("model") else {}
-
-    kwargs: dict = {
-        "name": exp.get("name", os.path.basename(path)),
-        "pipelines": tuple(x.strip() for x in exp.get("pipelines", "amp").split(",")),
-        "replicates": exp.getint("replicates", 20),
-        "base_seed": exp.getint("base_seed", 0),
-        "T": exp.getint("T", 25),
-        "quad_order": exp.getint("quad_order", 41),
-        "alpha": exp.getfloat("alpha", 0.1),
-    }
-    if "n" in model:
-        kwargs["n"] = int(model["n"])
-    if "p" in model:
-        kwargs["p"] = int(model["p"])
-    if "rho" in model:
-        kwargs["rho"] = float(model["rho"])
-    if "slab" in model:
-        kwargs["slab"] = floats(model["slab"])
-    if "b_p" in model:
-        kwargs["b_p"] = float(model["b_p"])
-    if "lambda" in model:
-        kwargs["lambdas"] = floats(model["lambda"])
-    if "delta" in model:
-        kwargs["deltas"] = floats(model["delta"])
-    if "design" in model:
-        kwargs["design"] = model["design"]
-    if "kappa" in model:
-        kwargs["kappa_mi"] = float(model["kappa"])
+    if cp.defaults():               # its keys would show up in every section
+        raise ValueError(f"spec file {path}: unknown section [{cp.default_section}]")
+    kwargs: dict = {"name": os.path.basename(path), "pipelines": ("amp",)}
+    for section in cp.sections():
+        if section not in _SPEC_FILE_KEYS:
+            raise ValueError(f"spec file {path}: unknown section [{section}]")
+        for key, value in cp[section].items():
+            if key not in _SPEC_FILE_KEYS[section]:
+                raise ValueError(f"spec file {path}: unknown key {key!r} in [{section}]")
+            field, parse = _SPEC_FILE_KEYS[section][key]
+            kwargs[field] = parse(value)
     return ExperimentSpec(**kwargs)
 
 
@@ -390,8 +394,7 @@ def _replicate_job(args) -> dict:
             units[("baseline", delta)] = _attempt(_baseline_row, ds, cfgs[delta])
     if not amp_pls:
         return units
-    ran = run_draw(list(draws.values()), spec.prior(),
-                   AmpConfig(T=spec.T, record_history=False),
+    ran = run_draw(list(draws.values()), AmpConfig(T=spec.T, record_history=False),
                    [traces[delta] for delta in draws], wrap=_isolated)
     for (delta, ds), outcome in zip(draws.items(), ran):
         for pl in amp_pls:

@@ -179,17 +179,15 @@ def fit(dataset: Dataset, config: LapConfig) -> LapFit:
     return _fit_all(dataset.Phi, dataset.y, dataset.adjacency, [config])[0]
 
 
-def tune(dataset: Dataset, grid, seed: int = 0) -> LapTune:
+def tune(dataset: Dataset, grid: list[LapConfig], seed: int = 0) -> LapTune:
     """Pick the grid config with the lowest prediction error on a holdout split.
 
-    ``grid`` is an iterable of LapConfig (or (lambda1, lambda2) pairs); ties
-    resolve to the earliest grid entry.  The split is seeded and stratifies
-    nothing: a uniformly random 20% of rows are held out.  The grid is fitted
-    in lockstep on the training rows; each fit equals `fit` on them.  The
-    result carries every grid fit's convergence flag with the pick.
+    ``grid`` is a list of LapConfig; ties resolve to the earliest entry.  The
+    split is seeded and stratifies nothing: a uniformly random 20% of rows
+    are held out.  The grid is fitted in lockstep on the training rows; each
+    fit equals `fit` on them.  The result carries every grid fit's
+    convergence flag with the pick.
     """
-    grid = [g if isinstance(g, LapConfig) else LapConfig(lambda1=g[0], lambda2=g[1])
-            for g in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
     n = dataset.params.n

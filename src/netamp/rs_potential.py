@@ -32,16 +32,8 @@ from .state_evolution import SeFixedPoint, _residual, fixed_point
 __all__ = ["RsEvaluation", "rs_value", "minimize", "coincide"]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution of the coarse grid stage."""
-
-    n_mu: int = 40
-    n_xi: int = 40
-
-
-# xi values per batched `scalar_mi` call on the coarse grid
-GRID_BATCH = 10
+# points per axis of the coarse grid, and xi values per batched `scalar_mi` call on it
+GRID_POINTS, GRID_BATCH = 40, 10
 _DESCENT_TOL, _DESCENT_ROUNDS = 1e-8, 40     # `_coordinate_descent` tolerance, rounds
 
 
@@ -133,15 +125,15 @@ def _coordinate_descent(f, mu0, xi0, mu_hi, xi_hi, mu_fixed=False):
 
 def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
              quad: QuadratureRule = DEFAULT_QUAD,
-             grid: GridSpec = GridSpec(),
              uninformative: SeFixedPoint | None = None) -> RsEvaluation:
     """Global minimum of the potential over the nonnegative quadrant.
 
-    Strategy: coarse grid over [0, lam*rho] x [0, E[B^2]/Delta] evaluated at
-    a reduced quadrature order (ranking only), local refinement of the best
-    grid cells by coordinate descent at full order, plus candidates seeded
-    from the iterative fixed points (uninformative and informative starts).
-    The global best over all refined candidates is returned.
+    Strategy: a GRID_POINTS x GRID_POINTS coarse grid over [0, lam*rho] x
+    [0, E[B^2]/Delta] evaluated at a reduced quadrature order (ranking only),
+    local refinement of the best grid cells by coordinate descent at full
+    order, plus candidates seeded from the iterative fixed points
+    (uninformative and informative starts).  The global best over all refined
+    candidates is returned.
 
     The grid is evaluated one mu-row at a time, each row by batched
     `scalar_mi` calls of at most GRID_BATCH xi values (`_rs_row`).  All
@@ -172,8 +164,8 @@ def minimize(prior: PriorSpec, lam: float, kappa: float, Delta: float,
         candidates.append((mu, xi, val))
     else:
         quad_coarse = quad if quad.order <= 21 else QuadratureRule.gauss_hermite(21)
-        mus = np.linspace(0.0, mu_hi, grid.n_mu)
-        xis = np.linspace(0.0, xi_hi, grid.n_xi)
+        mus = np.linspace(0.0, mu_hi, GRID_POINTS)
+        xis = np.linspace(0.0, xi_hi, GRID_POINTS)
         vals = np.array([_rs_row(m, xis, prior, lam, kappa, Delta, quad_coarse) for m in mus])
         # refine the two best well-separated cells
         flat = np.argsort(vals, axis=None)

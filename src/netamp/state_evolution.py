@@ -33,6 +33,10 @@ from .priors import (DEFAULT_QUAD, PriorSpec, QuadratureRule, _mmse_channels,
 
 __all__ = ["SeTrace", "SeFixedPoint", "se_run", "fixed_point", "predicted_errors"]
 
+# `fixed_point` stops at a step below 0.1 * FIXED_POINT_TOL or after FIXED_POINT_MAX_ITER
+# steps, and is converged when its residual is at most FIXED_POINT_TOL
+FIXED_POINT_TOL, FIXED_POINT_MAX_ITER = 1e-10, 10_000
+
 
 @dataclass(frozen=True)
 class SeTrace:
@@ -98,7 +102,6 @@ def _residual(mu: float, xi: float, prior: PriorSpec, lam: float, kappa: float,
 
 
 def fixed_point(prior: PriorSpec, lam: float, kappa: float, Delta: float,
-                tol: float = 1e-10, max_iter: int = 10_000,
                 quad: QuadratureRule = DEFAULT_QUAD,
                 start: str = "uninformative") -> SeFixedPoint:
     """Solve the two-variable fixed-point system by alternating iteration.
@@ -118,16 +121,16 @@ def fixed_point(prior: PriorSpec, lam: float, kappa: float, Delta: float,
         raise ValueError(f"unknown start {start!r}")
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         mu_new = 0.0 if lam == 0 else lam * (prior.rho - mmse1(mu, xi, prior, Delta, kappa, quad))
         xi_new = mmse2(mu_new, xi, prior, Delta, kappa, quad) / Delta
         shift = max(abs(mu_new - mu), abs(xi_new - xi))
         mu, xi = mu_new, xi_new
-        if shift <= 0.1 * tol:
+        if shift <= 0.1 * FIXED_POINT_TOL:
             break
     res = _residual(mu, xi, prior, lam, kappa, Delta, quad)
     return SeFixedPoint(mu_star=mu, xi_star=xi, iterations=it, residual=res,
-                        converged=res <= tol)
+                        converged=res <= FIXED_POINT_TOL)
 
 
 def predicted_errors(fp: SeFixedPoint, prior: PriorSpec, lam: float,

@@ -300,15 +300,14 @@ def centered_adjacency_dense(dataset: Dataset) -> np.ndarray:
     return (A - d) / math.sqrt(d * (1.0 - d))
 
 
-def gaussian_surrogate(sigma0: np.ndarray, lam: float, seed: int,
-                       max_p: int = MAX_SURROGATE_P) -> np.ndarray:
+def gaussian_surrogate(sigma0: np.ndarray, lam: float, seed: int) -> np.ndarray:
     """Spiked GOE-type surrogate sqrt(lam/p) sigma0 sigma0^T + Z.
 
     Z is symmetric with off-diagonal N(0,1) and diagonal N(0,2) entries.
     """
     p = sigma0.shape[0]
-    if p > max_p:
-        raise ValueError(f"p = {p} exceeds surrogate limit {max_p}")
+    if p > MAX_SURROGATE_P:
+        raise ValueError(f"p = {p} exceeds surrogate limit {MAX_SURROGATE_P}")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[_STREAM_SURROGATE])
     Z = rng.standard_normal((p, p))
     Z = (Z + Z.T) / math.sqrt(2.0)  # off-diag var 1, diag var 2

@@ -59,7 +59,7 @@ def crit1_runs():
         overlaps, preds = [], []
         for seed in SEEDS_20:
             ds = generate(params, seed)
-            res = run(ds, PM_BENCH, params, AmpConfig(T=T_ITER), se_trace=trace)
+            res = run(ds, AmpConfig(T=T_ITER), se_trace=trace)
             overlaps.append(res.overlap[T_ITER])
             preds.append(res.pred_error[T_ITER])
         out[delta] = (float(np.mean(overlaps)), float(np.mean(preds)), fp)
@@ -75,7 +75,7 @@ def discovery_runs():
     fdps, coverages = [], []
     for seed in range(FDR_REPLICATES):
         ds = generate(params, seed)
-        res = run(ds, PM_SPARSE, params, AmpConfig(T=T_ITER), se_trace=trace)
+        res = run(ds, AmpConfig(T=T_ITER), se_trace=trace)
         pv = pvalues(res.sigma_iter, float(trace.nu[T_ITER]))
         d = discover(pv, RHO_SPARSE, 0.1, truth=ds.sigma0)
         fdps.append(d.empirical_fdp)
@@ -206,7 +206,7 @@ def test_criterion_6_table1_tdr_spot_check():
         tdps, signal, null = [], [], []
         for seed in SEEDS_20:
             ds = generate(params, seed)
-            res = run(ds, PM_SPARSE, params, AmpConfig(T=T_ITER), se_trace=trace)
+            res = run(ds, AmpConfig(T=T_ITER), se_trace=trace)
             pv = pvalues(res.sigma_iter, nu)
             d = discover(pv, RHO_SPARSE, 0.1, truth=ds.sigma0)
             tdps.append(d.empirical_tdp)
@@ -245,7 +245,7 @@ def test_criterion_7_baseline_ordering():
                 amp_pe, lap_pe = [], []
                 for seed in range(3):
                     ds = generate(params, seed)
-                    res = run(ds, PM_BENCH, params, AmpConfig(T=T_ITER),
+                    res = run(ds, AmpConfig(T=T_ITER),
                               se_trace=trace)
                     amp_pe.append(res.pred_error[T_ITER])
                     lf = fit(ds, cfg)
@@ -336,7 +336,7 @@ class TestCriterion8Properties:
             ds = generate(params, seed)
             o = {}
             for mode in ("sbm", "gaussian-surrogate"):
-                res = run(ds, PM_BENCH, params, AmpConfig(T=T_ITER, matrix_mode=mode),
+                res = run(ds, AmpConfig(T=T_ITER, matrix_mode=mode),
                           se_trace=trace)
                 o[mode] = res.overlap[T_ITER]
             gaps.append(abs(o["sbm"] - o["gaussian-surrogate"]))

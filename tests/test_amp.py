@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestAgainstReference:
     def test_iterates_match_reference(self, small_setup):
         prior, params, ds, trace = small_setup
         for T in (1, 3, 5):
-            res = run(ds, prior, params, AmpConfig(T=T), se_trace=trace)
+            res = run(ds, AmpConfig(T=T), se_trace=trace)
             sig_ref, beta_ref, z_ref = reference_amp(ds, prior, trace, T)
             assert np.max(np.abs(res.sigma_iter - sig_ref)) < 1e-7
             assert np.max(np.abs(res.beta_hat - beta_ref)) < 1e-7
@@ -148,7 +149,7 @@ class TestAgainstReference:
         ds = generate(params, 123)
         trace = se_run(prior, 2.0, params.kappa, 0.8, T=9)
         config = AmpConfig(T=8, matrix_mode=matrix_mode, record_history=record_history)
-        res = run(ds, prior, params, config, se_trace=trace)
+        res = run(ds, config, se_trace=trace)
         ref = loop_reference_run(ds, prior, params, config, trace)
         for name, want in ref.items():
             assert np.array_equal(getattr(res, name), want, equal_nan=True), name
@@ -156,7 +157,7 @@ class TestAgainstReference:
         monkeypatch.setattr(netamp.lockstep, "SLAB", 8)
         draws = [ds, with_delta(ds, 0.3), with_delta(ds, 2.5)]
         traces = [se_run(prior, 2.0, params.kappa, d.params.Delta, T=9) for d in draws]
-        for got, d, tr in zip(run_draw(draws, prior, config, traces), draws, traces):
+        for got, d, tr in zip(run_draw(draws, config, traces), draws, traces):
             ref = loop_reference_run(d, prior, d.params, config, tr)
             for name, want in ref.items():
                 assert np.array_equal(getattr(got, name), want, equal_nan=True), name
@@ -165,7 +166,7 @@ class TestAgainstReference:
         """From the prior-mean start the first sigma step is the constant-
         denoiser power step rho * Abar 1 / sqrt(p)."""
         prior, params, ds, trace = small_setup
-        res = run(ds, prior, params, AmpConfig(T=1), se_trace=trace)
+        res = run(ds, AmpConfig(T=1), se_trace=trace)
         expect = prior.rho * (centered_adjacency_dense(ds) @ np.ones(params.p)) \
             / math.sqrt(params.p)
         assert np.max(np.abs(res.sigma_iter - expect)) < 1e-12
@@ -178,20 +179,20 @@ class TestBehavior:
         params = ModelParams.from_snr(n=1600, p=800, Delta=1e-6, b_p=8.0,
                                       lam=0.0, prior=prior)
         ds = generate(params, 0)
-        res = run(ds, prior, params, AmpConfig(T=25))
+        res = run(ds, AmpConfig(T=25))
         assert res.pred_error[25] <= 1e-3
 
     def test_determinism(self, small_setup):
         prior, params, ds, trace = small_setup
-        a = run(ds, prior, params, AmpConfig(T=4), se_trace=trace)
-        b = run(ds, prior, params, AmpConfig(T=4), se_trace=trace)
+        a = run(ds, AmpConfig(T=4), se_trace=trace)
+        b = run(ds, AmpConfig(T=4), se_trace=trace)
         assert np.array_equal(a.sigma_hat, b.sigma_hat)
         assert np.array_equal(a.beta_hat, b.beta_hat)
         assert np.array_equal(a.overlap, b.overlap)
 
     def test_estimate_ranges(self, small_setup):
         prior, params, ds, trace = small_setup
-        res = run(ds, prior, params, AmpConfig(T=5), se_trace=trace)
+        res = run(ds, AmpConfig(T=5), se_trace=trace)
         assert np.all(res.sigma_hat >= 0.0) and np.all(res.sigma_hat <= 1.0)
         assert np.all(np.abs(res.beta_hat) <= prior.s_max + 1e-12)
 
@@ -200,24 +201,23 @@ class TestBehavior:
         bad = ModelParams.from_snr(n=61, p=50, Delta=0.8, b_p=8.0, lam=2.0,
                                    prior=prior)
         with pytest.raises(DimensionMismatch):
-            run(ds, prior, bad, AmpConfig(T=2))
+            run(dataclasses.replace(ds, params=bad), AmpConfig(T=2))
 
     def test_record_history_flag(self, small_setup):
         prior, params, ds, trace = small_setup
-        res = run(ds, prior, params, AmpConfig(T=4, record_history=False),
-                  se_trace=trace)
+        res = run(ds, AmpConfig(T=4, record_history=False), se_trace=trace)
         assert np.all(np.isnan(res.overlap[:4]))
         assert np.isfinite(res.overlap[4])
-        full = run(ds, prior, params, AmpConfig(T=4), se_trace=trace)
+        full = run(ds, AmpConfig(T=4), se_trace=trace)
         assert res.overlap[4] == full.overlap[4]
         assert res.mse_beta[4] == full.mse_beta[4]
         assert res.pred_error[4] == full.pred_error[4]
 
     def test_surrogate_mode_deterministic(self, small_setup):
         prior, params, ds, trace = small_setup
-        a = run(ds, prior, params, AmpConfig(T=3, matrix_mode="gaussian-surrogate"),
+        a = run(ds, AmpConfig(T=3, matrix_mode="gaussian-surrogate"),
                 se_trace=trace)
-        b = run(ds, prior, params, AmpConfig(T=3, matrix_mode="gaussian-surrogate"),
+        b = run(ds, AmpConfig(T=3, matrix_mode="gaussian-surrogate"),
                 se_trace=trace)
         assert np.array_equal(a.sigma_iter, b.sigma_iter)
 
@@ -257,7 +257,7 @@ class TestStateEvolutionAgreement:
         ovl, prd = [], []
         for seed in range(4):
             ds = generate(params, seed)
-            res = run(ds, pm7, params, AmpConfig(T=15), se_trace=trace)
+            res = run(ds, AmpConfig(T=15), se_trace=trace)
             ovl.append(res.overlap[15])
             prd.append(res.pred_error[15])
         fp = fixed_point(pm7, 3.0, 1.0, 1.0)

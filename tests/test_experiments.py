@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from netamp.cli import main as cli_main
-from netamp.experiments import (_PIPELINES, BUILTIN_NAMES, ExperimentSpec,
-                                builtin_spec, load_spec_file, run_experiment)
+from netamp.amp import AmpConfig, run
+from netamp.experiments import (_PIPELINES, AMP_PIPELINES, BUILTIN_NAMES, CsvSink,
+                                ExperimentSpec, builtin_spec, load_spec_file,
+                                run_experiment)
 from netamp.priors import QuadratureRule
-from netamp.state_evolution import fixed_point
+from netamp.state_evolution import fixed_point, se_run
+from netamp.synth import load_dataset
 
 
 def read_csv(path):
@@ -166,6 +169,19 @@ class TestSpecs:
         with pytest.raises(ValueError, match="invalid experiment spec: " + frag):
             ExperimentSpec(name="x", pipelines=("amp", "baseline"), **grid)
 
+    @pytest.mark.parametrize("pl", AMP_PIPELINES)
+    def test_kappa_mi_rejected_with_amp_pipelines(self, pl):
+        """An AMP run sees data drawn at n/p, so its trace may not be at kappa_mi."""
+        with pytest.raises(ValueError, match="invalid experiment spec: kappa_mi applies "
+                                             "to se and mi pipelines only"):
+            ExperimentSpec(name="x", pipelines=("se", pl), n=120, p=100, kappa_mi=2.5)
+
+    def test_kappa_mi_kept_for_scalar_pipelines(self):
+        spec = ExperimentSpec(name="x", pipelines=("se", "mi"), n=120, p=100, kappa_mi=2.5)
+        assert spec.kappa() == 2.5
+        for name in ("figure1a", "figure1b"):
+            assert builtin_spec(name).kappa_mi == 1.5
+
     def test_exhaustive_validation_message(self):
         with pytest.raises(ValueError) as ei:
             ExperimentSpec(name="x", pipelines=("bogus",), replicates=0,
@@ -261,8 +277,7 @@ class TestSpecs:
             for delta in (0.5, 2.0):
                 ds = base if delta == 0.5 else with_delta(base, delta)
                 trace = se_run(spec.prior(), 1.0, spec.kappa(), delta, T=spec.T + 1, quad=quad)
-                alone = run(ds, spec.prior(), ds.params,
-                            AmpConfig(T=spec.T, record_history=False), se_trace=trace)
+                alone = run(ds, AmpConfig(T=spec.T, record_history=False), se_trace=trace)
                 want = _PIPELINES[pl].amp_row(spec, ds, alone, trace)
                 row = dict(zip(header, got[(repr(delta), "1")]))
                 assert all(row[c] == ex.CsvSink._fmt(v) for c, v in want.items())
@@ -335,6 +350,23 @@ class TestSpecs:
         assert spec.kappa() == 1.5
         assert spec.alpha == 0.2
 
+    @pytest.mark.parametrize("text, where", [
+        ("[experiment]\npipelines = se\n[model]\nlambdas = 1,2\n", "'lambdas' in [model]"),
+        ("[experiment]\npipelines = se\n[model]\ndeltas = 0.5\n", "'deltas' in [model]"),
+        ("[experiment]\npipelines = se\nreplicate = 5\n", "'replicate' in [experiment]"),
+        ("[experiment]\npipelines = se\n[modle]\nn = 50\n", "unknown section [modle]"),
+        ("[DEFAULT]\nrho = 0.3\n[experiment]\npipelines = se\n", "unknown section [DEFAULT]"),
+    ], ids=["model-lambdas", "model-deltas", "experiment-replicate", "section-modle",
+            "section-default"])
+    def test_spec_file_unknown_key_rejected(self, tmp_path, text, where):
+        """A misspelt key or section is an error, not a silent default."""
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        with pytest.raises(ValueError) as ei:
+            load_spec_file(str(cfg))
+        assert str(ei.value).startswith(f"spec file {cfg}: ")
+        assert where in str(ei.value)
+
 
 class TestCli:
     def test_generate_amp_baseline_roundtrip(self, tmp_path):
@@ -359,6 +391,27 @@ class TestCli:
         assert header_b == ["lambda", "Delta", *_PIPELINES["baseline"].columns]
         assert [r[:3] for r in rows_b] == [["2.0", "1.0", "3"]]
 
+    def test_amp_run_surrogate_mode(self, tmp_path):
+        """amp-run --matrix-mode gaussian-surrogate writes the history of `run` in
+        that mode, with the trace at the --quad-order rule."""
+        data, out = str(tmp_path / "ds"), str(tmp_path / "out")
+        assert cli_main(["generate", "--n", "120", "--p", "100", "--rho", "0.3",
+                         "--b-p", "50", "--lam", "2", "--Delta", "1", "--seed", "3",
+                         "--out", data]) == 0
+        assert cli_main(["amp-run", "--data", data, "--T", "8", "--quad-order", "21",
+                         "--matrix-mode", "gaussian-surrogate", "--out", out]) == 0
+        ds = load_dataset(data)
+        par = ds.params
+        trace = se_run(par.prior, par.lam, par.kappa, par.Delta, T=9,
+                       quad=QuadratureRule.gauss_hermite(21))
+        res = run(ds, AmpConfig(T=8, matrix_mode="gaussian-surrogate"), se_trace=trace)
+        _, header, rows = read_csv(os.path.join(out, "amp_run.csv"))
+        assert len(rows) == 9
+        for t, row in enumerate(rows):
+            got = dict(zip(header, row))
+            for col in ("overlap", "mse_beta", "pred_error"):
+                assert got[col] == CsvSink._fmt(float(getattr(res, col)[t])), (t, col)
+
     def test_generate_takes_one_point(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["generate", "--n", "50", "--p", "50", "--lam", "1,2",
@@ -372,6 +425,12 @@ class TestCli:
         no_section.write_text("[model]\nn = 50\n")
         no_header = tmp_path / "no_header.ini"
         no_header.write_text("pipelines = amp\n")
+        amp_kappa = tmp_path / "amp_kappa.ini"
+        amp_kappa.write_text("[experiment]\npipelines = amp,se\nT = 6\n[model]\n"
+                             "n = 120\np = 100\nrho = 0.3\nb_p = 20\nlambda = 2\n"
+                             "delta = 1\nkappa = 2.5\n")
+        unknown_key = tmp_path / "unknown_key.ini"
+        unknown_key.write_text("[experiment]\npipelines = se\nreplicate = 5\n")
         bad = "invalid experiment spec: "
         for argv, problem in ((["mi-curve", "--Delta", "1,1"],
                                bad + "sweep grids must not repeat a value"),
@@ -383,7 +442,11 @@ class TestCli:
                               (["experiment", str(no_section)],
                                "has no [experiment] section"),
                               (["experiment", str(no_header)],
-                               "File contains no section headers")):
+                               "File contains no section headers"),
+                              (["experiment", str(amp_kappa)],
+                               bad + "kappa_mi applies to se and mi pipelines only"),
+                              (["experiment", str(unknown_key)],
+                               "unknown key 'replicate' in [experiment]")):
             out = tmp_path / "out"
             with pytest.raises(SystemExit) as exc:
                 cli_main([*argv, "--out", str(out)])

@@ -73,7 +73,7 @@ class TestPvalues:
         stats = []
         for seed in range(20):
             ds = generate(params, seed)
-            res = run(ds, prior, params, AmpConfig(T=T), se_trace=trace)
+            res = run(ds, AmpConfig(T=T), se_trace=trace)
             pv = pvalues(res.sigma_iter, float(trace.nu[T]))
             stats.append(kstest(pv[ds.sigma0 == 0], "uniform").statistic)
         from scipy.stats import ksone

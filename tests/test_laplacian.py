@@ -242,19 +242,21 @@ class TestLaplacianMatrix:
 
 class TestTune:
     def test_single_point_grid(self, square_dataset):
-        cfg = tune(square_dataset, [(0.1, 0.5)]).config
+        cfg = tune(square_dataset, [LapConfig(lambda1=0.1, lambda2=0.5)]).config
         assert (cfg.lambda1, cfg.lambda2) == (0.1, 0.5)
 
     def test_all_zero_response_ties_to_first(self, square_dataset):
         import dataclasses
 
         ds0 = dataclasses.replace(square_dataset, y=np.zeros(60))
-        grid = [(0.3, 0.0), (0.1, 1.0), (0.0, 0.0)]
+        grid = [LapConfig(lambda1=l1, lambda2=l2)
+                for l1, l2 in ((0.3, 0.0), (0.1, 1.0), (0.0, 0.0))]
         cfg = tune(ds0, grid).config
         assert (cfg.lambda1, cfg.lambda2) == (0.3, 0.0)
 
     def test_matches_exhaustive(self, square_dataset):
-        grid = [(l1, l2) for l1 in (0.0, 0.05, 0.2) for l2 in (0.0, 0.3, 1.0)]
+        grid = [LapConfig(lambda1=l1, lambda2=l2)
+                for l1 in (0.0, 0.05, 0.2) for l2 in (0.0, 0.3, 1.0)]
         picked = tune(square_dataset, grid, seed=5).config
 
         # independent exhaustive evaluation with the same split
@@ -268,12 +270,12 @@ class TestTune:
                                     Phi=square_dataset.Phi[~hold],
                                     y=square_dataset.y[~hold])
         errs = []
-        for l1, l2 in grid:
-            res = reference_fit(train, LapConfig(lambda1=l1, lambda2=l2))
+        for cfg in grid:
+            res = reference_fit(train, cfg)
             r = square_dataset.y[hold] - square_dataset.Phi[hold] @ res.beta
             errs.append(float(r @ r) / hold.sum())
         best = grid[int(np.argmin(errs))]
-        assert (picked.lambda1, picked.lambda2) == best
+        assert (picked.lambda1, picked.lambda2) == (best.lambda1, best.lambda2)
 
     def test_reports_every_grid_flag(self, square_dataset):
         """The flags of the training-row fits, in grid order, come with the pick."""

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import netamp.rs_potential
 from netamp.priors import mmse1, mmse2
-from netamp.rs_potential import GridSpec, coincide, minimize, rs_value
+from netamp.rs_potential import coincide, minimize, rs_value
 from netamp.state_evolution import fixed_point, predicted_errors
 
 # frozen MC value for the scalar-channel MI at (mu, xi) = (1, 1),
@@ -67,9 +68,11 @@ class TestMinimize:
         assert ev.mu_bar == 0.0
         assert abs(ev.xi_bar - fp.xi_star) <= 1e-6
 
-    def test_grid_refinement_stability(self, five_atom, quad):
-        a = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad, grid=GridSpec(n_mu=20, n_xi=20))
-        b = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad, grid=GridSpec(n_mu=40, n_xi=40))
+    def test_grid_refinement_stability(self, five_atom, quad, monkeypatch):
+        monkeypatch.setattr(netamp.rs_potential, "GRID_POINTS", 20)
+        a = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad)
+        monkeypatch.setattr(netamp.rs_potential, "GRID_POINTS", 40)
+        b = minimize(five_atom, 2.0, 1.5, 1.0, quad=quad)
         assert abs(a.mu_bar - b.mu_bar) <= 1e-6
         assert abs(a.xi_bar - b.xi_bar) <= 1e-6
 

@@ -39,7 +39,7 @@ class TestTrace:
 
     def test_trace_limit_matches_fixed_point(self, pm7):
         tr = se_run(pm7, 3.0, 1.0, 1.0, T=200)
-        fp = fixed_point(pm7, 3.0, 1.0, 1.0, tol=1e-10)
+        fp = fixed_point(pm7, 3.0, 1.0, 1.0)
         assert abs(tr.mu[-1] - fp.mu_star) <= 1e-10
         assert abs(tr.xi[-1] - fp.xi_star) <= 1e-10
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import netamp.synth
 from netamp.cli import main as cli_main
 from netamp.priors import spike_slab
 from netamp.synth import (Dataset, ModelParams, _sample_graph, ap_to_snr,
@@ -302,9 +303,10 @@ class TestGaussianSurrogate:
         target_diag = 2.0 + lam * sig**2 / p
         assert np.max(np.abs(m2 - target_diag)) < 5 * math.sqrt(2 * 2.0**2 / reps)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(netamp.synth, "MAX_SURROGATE_P", 5)
         with pytest.raises(ValueError, match="exceeds"):
-            gaussian_surrogate(np.zeros(10), 1.0, 0, max_p=5)
+            gaussian_surrogate(np.zeros(10), 1.0, 0)
 
 
 class TestRoundTrip:
