@@ -22,6 +22,9 @@ subdirectory of OUT_DIR:
   ``netamp amp-run`` (in both matrix modes, the surrogate one into
   ``surrogate/``) and ``netamp baseline-lap`` run on it, so the saved
   ``edges.csv`` and the CSVs of a loaded dataset join the set;
+- ``cli_specs``: specs that ``netamp.cli`` builds from its flags: ``se-solve``
+  and ``mi-curve --kappa 1.5`` with every other flag at its default, toy
+  ``fdr-sim`` and ``coverage-sim`` runs, and ``experiment smoke --seed 3``;
 - ``kernels``: repr'd values of the scalar-channel kernels of
   ``netamp.priors`` (``scalar_mi`` at single points and in 10-wide xi
   batches at orders 21 and 41, ``mmse_pair``, and ``_mmse_channels`` and the
@@ -114,6 +117,21 @@ def dataset_cli(cli, case_dir: str) -> None:
                 raise RuntimeError(f"netamp {argv[0]} exited with {status}")
     finally:
         os.chdir(cwd)
+
+
+# the cli_specs runs; each also gets --overwrite and --out
+CLI_SPECS = [["se-solve"], ["mi-curve", "--kappa", "1.5"],
+             *([cmd, "--n", "120", "--p", "100", "--b-p", "50", "--replicates", "2", "--T", "4"]
+               for cmd in ("fdr-sim", "coverage-sim")),
+             ["experiment", "smoke", "--seed", "3"]]
+
+
+def cli_specs(cli, case_dir: str) -> None:
+    """Run each CLI_SPECS command into case_dir."""
+    for argv in CLI_SPECS:
+        status = cli.main([*argv, "--overwrite", "--out", case_dir])
+        if status:
+            raise RuntimeError(f"netamp {argv[0]} exited with {status}")
 
 
 def kernels(priors, case_dir: str) -> None:
@@ -242,6 +260,8 @@ def main(argv: list[str]) -> int:
     print("dataset_cli: generate, amp-run (both modes), baseline-lap", file=sys.stderr)
     outcomes.append(("dataset_cli",
                      outcome(dataset_cli, cli, os.path.join(out_dir, "dataset_cli"))))
+    print("cli_specs: se-solve, mi-curve, fdr-sim, coverage-sim, experiment", file=sys.stderr)
+    outcomes.append(("cli_specs", outcome(cli_specs, cli, os.path.join(out_dir, "cli_specs"))))
     print("kernels: scalar-channel kernel values", file=sys.stderr)
     outcomes.append(("kernels", outcome(kernels, priors, os.path.join(out_dir, "kernels"))))
     with open(os.path.join(out_dir, "outcomes.csv"), "w", newline="") as fh:

@@ -490,3 +490,91 @@ class TestCli:
         rc = cli_main(["experiment", "smoke", "--out", str(tmp_path)])
         assert rc == 0
         assert os.path.exists(tmp_path / "smoke_amp.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--threads", "2"], ["generate", "--quad-order", "21"],
+        ["amp-run", "--data", "ds", "--seed", "1"], ["amp-run", "--data", "ds", "--threads", "2"],
+        ["se-solve", "--seed", "1"], ["mi-curve", "--seed", "1"],
+        ["baseline-lap", "--data", "ds", "--threads", "2"],
+        ["baseline-lap", "--data", "ds", "--quad-order", "21"]],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flags_rejected(self, tmp_path, capsys, argv):
+        """Each subcommand takes only the flags it reads."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, pipeline, own", [
+        ("se-solve", "se", dict(kappa_mi=1.0, T=50, replicates=1)),
+        ("mi-curve", "mi", dict(kappa_mi=1.0, replicates=1)),
+        ("fdr-sim", "fdr", {}), ("coverage-sim", "coverage", {})])
+    def test_unset_flags_take_spec_defaults(self, tmp_path, monkeypatch, cmd, pipeline, own):
+        """With only --out, a harness subcommand runs ExperimentSpec's defaults,
+        apart from the CLI's own defaults for se-solve and mi-curve."""
+        calls = []
+        monkeypatch.setattr("netamp.cli.run_experiment",
+                            lambda spec, out, **kw: calls.append((spec, out, kw)) or {})
+        assert cli_main([cmd, "--out", str(tmp_path)]) == 0
+        [(spec, out, kw)] = calls
+        assert spec == ExperimentSpec(name=cmd, pipelines=(pipeline,), **own)
+        assert (out, kw["threads"], kw["overwrite"]) == (str(tmp_path), 1, False)
+
+    def test_experiment_seed_and_quad_order_override_the_spec(self, tmp_path):
+        spec_file = tmp_path / "seeded.ini"
+        spec_file.write_text("[experiment]\npipelines = se\nbase_seed = 5\nT = 3\n")
+        for flags, seeds, quad_order in (([], "5..24", 41),
+                                         (["--seed", "0", "--quad-order", "21"], "0..19", 21)):
+            out = tmp_path / f"out{len(flags)}"
+            assert cli_main(["experiment", str(spec_file), *flags, "--out", str(out)]) == 0
+            meta, _, _ = read_csv(out / "seeded.ini_se.csv")
+            assert meta["seeds"] == seeds
+            assert f"'base_seed': {seeds.split('.')[0]}," in meta["spec"]
+            assert f"'quad_order': {quad_order}," in meta["spec"]
+
+    def test_generate_refuses_an_existing_dataset(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        draw = ["generate", "--n", "60", "--p", "50", "--b-p", "10", "--lam", "2",
+                "--out", str(data)]
+        assert cli_main([*draw, "--seed", "3"]) == 0
+        before = {f: (data / f).read_bytes() for f in os.listdir(data)}
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*draw, "--seed", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--overwrite" in err and "Traceback" not in err
+        assert {f: (data / f).read_bytes() for f in os.listdir(data)} == before
+        assert cli_main([*draw, "--seed", "4", "--overwrite"]) == 0
+        assert load_dataset(str(data)).seed == 4
+
+    def test_existing_output_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """An output that exists without --overwrite stops the CLI before any work."""
+        data, out = str(tmp_path / "ds"), tmp_path / "out"
+        assert cli_main(["generate", "--n", "60", "--p", "50", "--b-p", "10",
+                         "--out", data]) == 0
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed before claiming the output")
+
+        monkeypatch.setattr("netamp.cli.run", unreachable)
+        monkeypatch.setattr("netamp.cli.tune", unreachable)
+        out.mkdir()
+        for argv, name in ((["amp-run", "--data", data], "amp_run.csv"),
+                           (["baseline-lap", "--data", data], "baseline_lap.csv"),
+                           (["experiment", "smoke"], "smoke_coverage.csv")):
+            (out / name).write_text("kept\n")
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{out / name} exists" in err and "--overwrite" in err
+            assert "Traceback" not in err
+            assert (out / name).read_text() == "kept\n"
+        # an --out that is a file is a usage error too, but --overwrite would not help
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["se-solve", "--T", "3", "--out", str(out / name)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "File exists" in err and "--overwrite" not in err

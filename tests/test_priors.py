@@ -269,7 +269,12 @@ class TestScalarMi:
     # tau = sqrt(Delta (1 + xi) / kappa) is small against the spacing of the B
     # atoms.  Over 8000 uniform draws of
     # this box and its corners the worst error was 2.84e-7 (B independent of
-    # Sigma, tau at its floor 0.816), which fixes the tolerance.
+    # Sigma, tau at its floor 0.816), which fixes the tolerance.  That is not
+    # the worst in the box: with B independent of Sigma, mu = 1e-5, Delta = 1,
+    # the d/dxi error is 5.04e-7 at (xi, kappa) = (0.03125, 1.25) and 6.6e-7 at
+    # (0.125, 1.5), found by hypothesis in test_potential_gradient below.  This
+    # is the order-41 B-axis error of ROADMAP item 6 (CHANGES.md, the FOUND line
+    # on test_potential_gradient), and both tests fail when a draw lands there.
     IMMSE_STEP, IMMSE_TOL = 1e-5, 4e-7
     IMMSE_PRIORS = st.sampled_from([
         spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]), spike_slab(0.5, [-1.0, 1.0]),
@@ -295,7 +300,8 @@ class TestScalarMi:
     # lam in [0.5, 5] and mu <= 2 lam rho, and on the lam = 0 line (mu = 0),
     # where only the xi component exists.  Over 1500 uniform draws and the
     # corners of this box the worst error was 2.84e-7, at tau's floor 0.816 as
-    # for the identity above.
+    # for the identity above; at lam = 1 the xi component misses by the same
+    # 5.04e-7 and 6.6e-7 at the two points named there, over the tolerance.
     @settings(max_examples=100, deadline=None)
     @given(prior=IMMSE_PRIORS, lam=st.floats(0.5, 5.0), mu_frac=st.floats(0.0, 1.0),
            **IMMSE_BOX)
