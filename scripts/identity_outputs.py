@@ -29,7 +29,9 @@ subdirectory of OUT_DIR:
   ``netamp.priors`` (``scalar_mi`` at single points and in 10-wide xi
   batches at orders 21 and 41, ``mmse_pair``, and ``_mmse_channels`` and the
   denoisers with their partials under every channel convention, the two
-  exact-conditioning ones included, which no harness CSV reaches).
+  exact-conditioning ones included, which no harness CSV reaches), and
+  ``scalar_mi`` along a short xi search at fixed mu and a mu search at fixed
+  xi per prior and order, so the rows also cover its warm per-side cache.
 
 Each case's outcome ("ok", or the type and message of what the harness
 raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
@@ -178,6 +180,15 @@ def kernels(priors, case_dir: str) -> None:
                           value(priors.mmse_pair, mu, xi, prior, Delta, kappa, quad)),
                          ("scalar_mi", name, at.replace(f"xi={xi!r}", "xi=linspace(0,3,10)"),
                           value(priors.scalar_mi, mu, batch, prior, Delta, kappa, quad))]
+            # warm caches, as the potential's line searches use them: xi moves
+            # at fixed mu (points and 10-wide batches), then mu at fixed xi
+            for mu, xis in ([(1.3, xi) for xi in (0.2, 0.9, 0.5, 0.6)]
+                            + [(1.3, xi + batch) for xi in (0.2, 0.9)]
+                            + [(mu, 0.6) for mu in (0.4, 2.0, 1.1, 1.2)]):
+                shown = xis if np.ndim(xis) == 0 else f"{float(xis[0])!r}+linspace(0,3,10)"
+                at = f"mu={mu!r} xi={shown} Delta=1.0 kappa=1.5 order={order} line search"
+                rows.append(("scalar_mi", name, at,
+                             value(priors.scalar_mi, mu, xis, prior, 1.0, 1.5, quad)))
         sig, b, _ = priors._atom_arrays(prior)
         for eta, nu, tau in channels:
             rng = np.random.default_rng(7)

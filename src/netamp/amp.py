@@ -33,6 +33,7 @@ round reads S and the graph once for all of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -118,14 +119,24 @@ def _scaled_design(dataset: Dataset, kappa: float) -> np.ndarray:
     return dataset.Phi if kappa == 1.0 else dataset.Phi / math.sqrt(kappa)
 
 
-def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray):
+def _surrogate(dataset: Dataset):
+    """A zero-argument builder of the dataset's Gaussian surrogate that builds
+    it on its first call and hands the same array to every later one; a build
+    that raises is tried, and raises, again on the next call."""
+    return functools.cache(
+        lambda: gaussian_surrogate(dataset.sigma0, dataset.params.lam, dataset.seed))
+
+
+def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray,
+           surrogate):
     """The iteration as a generator of product requests; returns the AmpResult.
 
     Yields ``(A, transpose, v)`` for each product with the graph, with S and
     S.T, and with Phi for the recorded prediction error, and expects
     ``A.T @ v`` or ``A @ v`` back (see `netamp.lockstep`).  The posterior
     moments it keeps are fresh arrays, not the kernels' workspace, so other
-    runs may use the kernels while this one waits at a yield.
+    runs may use the kernels while this one waits at a yield.  In surrogate
+    mode the graph is ``surrogate()`` (see `_surrogate`).
     """
     params = dataset.params
     prior = params.prior
@@ -139,7 +150,7 @@ def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray
     y0 = dataset.y / math.sqrt(kappa)
 
     if config.matrix_mode == "gaussian-surrogate":
-        A_tilde = gaussian_surrogate(dataset.sigma0, params.lam, dataset.seed)
+        A_tilde = surrogate()
 
         def apply_graph(v):
             return (yield A_tilde, False, v)
@@ -213,19 +224,20 @@ def run(dataset: Dataset, config: AmpConfig = AmpConfig(),
     if se_trace is None:
         se_trace = se_run(params.prior, params.lam, params.kappa, params.Delta, config.T + 1)
     S = _scaled_design(dataset, params.kappa)
-    return lockstep([_steps(dataset, config, se_trace, S)])[0]
+    return lockstep([_steps(dataset, config, se_trace, S, _surrogate(dataset))])[0]
 
 
 def run_draw(datasets: list[Dataset], config: AmpConfig, se_traces: list[SeTrace],
              wrap=None) -> list:
     """`run` on datasets of one draw, such as its Deltas, all in lockstep.
 
-    The datasets must share the draw's Phi, as `synth.with_delta` makes
-    them, and each runs under its own params and prior with its own trace.
-    S is built once, and each round serves every run's products with the
-    graph, S, S.T and Phi together, so every operator is read once per round
-    instead of once per run.  Each result equals `run`'s on the same inputs
-    bit for bit at one BLAS thread.
+    The datasets must share the draw's Phi, sigma0, graph SNR and seed, as
+    `synth.with_delta` makes them, and each runs under its own params and
+    prior with its own trace.  S, and in surrogate mode the draw's Gaussian
+    surrogate, are built once, and each round serves every run's products
+    with the graph, S, S.T and Phi together, so every operator is read once
+    per round instead of once per run.  Each result equals `run`'s on the
+    same inputs bit for bit at one BLAS thread.
 
     ``wrap(dataset, gen)``, when given, returns the generator to drive in
     place of a run's own, and its return value becomes that run's result:
@@ -234,10 +246,13 @@ def run_draw(datasets: list[Dataset], config: AmpConfig, se_traces: list[SeTrace
     """
     if not datasets:
         return []
-    if any(ds.Phi is not datasets[0].Phi for ds in datasets):
-        raise ValueError("run_draw needs datasets that share one Phi")
-    S = _scaled_design(datasets[0], datasets[0].params.kappa)
-    gens = [_steps(ds, config, trace, S)
+    d0 = datasets[0]
+    if any(ds.Phi is not d0.Phi or ds.sigma0 is not d0.sigma0 or ds.seed != d0.seed
+           or ds.params.lam != d0.params.lam for ds in datasets):
+        raise ValueError("run_draw needs datasets of one draw: one Phi, sigma0, lam and seed")
+    S = _scaled_design(d0, d0.params.kappa)
+    surrogate = _surrogate(d0)
+    gens = [_steps(ds, config, trace, S, surrogate)
             for ds, trace in zip(datasets, se_traces, strict=True)]
     if wrap is not None:
         gens = [wrap(ds, gen) for ds, gen in zip(datasets, gens)]

@@ -33,7 +33,8 @@ from .amp import AmpConfig, run
 from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
                           ReplicateFailures, _baseline_row, _lap_grid,
                           _make_params, _note_unconverged_tunes, builtin_spec,
-                          floats, load_spec_file, pipeline_sink, run_experiment)
+                          check_out_dir, floats, load_spec_file, pipeline_sink,
+                          run_experiment)
 from .laplacian import tune
 from .priors import DEFAULT_QUAD, QuadratureRule
 from .state_evolution import se_run
@@ -163,6 +164,7 @@ def main(argv=None) -> int:
         spec = _spec(ap, args)
         if len(spec.lambdas) > 1 or len(spec.deltas) > 1:
             ap.error("generate draws one dataset: give one --lam and one --Delta")
+        _claim(ap, check_out_dir, args.out)
         if not args.overwrite and os.path.exists(os.path.join(args.out, "header.txt")):
             ap.error(f"{args.out} holds a dataset; pass --overwrite to replace it")
         ds = generate(_make_params(spec, *spec.lambdas, *spec.deltas), spec.base_seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import math
 import os
 import time
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .amp import AmpConfig, run, run_draw
+from .amp import AmpConfig, run, run_draw  # noqa: F401  (bench/tracing.py wraps run)
 from .inference import credible_intervals, discover, mse_beta, pvalues
 from .laplacian import LapConfig, LapTune, fit, tune
 from .priors import PriorSpec, QuadratureRule
@@ -65,9 +66,8 @@ def _coverage_row(spec, ds, res, trace):
     return {"alpha": spec.alpha, "coverage": ci.empirical_coverage}
 
 
-def _universality_row(spec, ds, res, trace):
-    sur = run(ds, AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
-                            record_history=False), se_trace=trace)
+def _universality_row(spec, ds, runs, trace):
+    res, sur = runs                 # the sbm-mode and surrogate-mode runs (`_with_surrogate`)
     o_sbm, o_sur = float(res.overlap[spec.T]), float(sur.overlap[spec.T])
     return {"overlap_sbm": o_sbm, "overlap_surrogate": o_sur, "gap": abs(o_sbm - o_sur)}
 
@@ -83,6 +83,7 @@ class _Pipeline:
     columns: tuple[str, ...]                 # after (lambda, Delta)
     averaged: tuple[str, ...] = ()           # get mean/stderr rows; replicate pipelines only
     amp_row: Callable | None = None          # row from the shared sbm-mode AMP run
+    # (the universality row gets that run paired with the surrogate-mode one)
 
 
 # every pipeline, in CSV and failure-trailer order
@@ -279,8 +280,23 @@ def load_spec_file(path: str) -> ExperimentSpec:
 # CSV plumbing
 
 
+def check_out_dir(out_dir: str) -> None:
+    """Raise FileExistsError when out_dir cannot be made a directory.
+
+    That is when out_dir, or the nearest of its parents that exists, is not
+    a directory.  Run before any work, so such an output path fails at once
+    instead of when the outputs are written.
+    """
+    head = out_dir
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), head)
+
+
 class CsvSink:
     def __init__(self, path: str, columns: list[str], meta: dict, overwrite: bool):
+        check_out_dir(os.path.dirname(path))
         if os.path.exists(path) and not overwrite:
             raise FileExistsError(f"{path} exists; pass overwrite to replace it")
         self.path = path
@@ -352,7 +368,7 @@ def _attempt(fn, *args, **kwargs) -> tuple[str, object]:
 
 
 def _isolated(ds, gen):
-    """One sbm-mode run's generator, returning ("ok", result) or ("err", message).
+    """One run's generator, returning ("ok", result) or ("err", message).
 
     The per-run hook that `_replicate_job` passes to `run_draw`: a run that
     raises fails its own units only, and the other runs of the draw go on.
@@ -369,7 +385,8 @@ def _replicate_job(args) -> dict:
 
     One draw at the first Delta, re-noised for each other Delta, and one
     sbm-mode run per Delta shared by the AMP pipelines; the runs of all
-    Deltas go in lockstep through `run_draw`.  Returns {(pipeline, Delta):
+    Deltas go in lockstep through `run_draw`, and so do the universality
+    pipeline's surrogate-mode runs (`_with_surrogate`).  Returns {(pipeline, Delta):
     ("ok", row) | ("err", message)}; a failed draw or run is reported on
     every unit that needed it.  ``cfgs`` maps Delta to the tuned baseline
     config, or to None where tuning failed.
@@ -394,14 +411,37 @@ def _replicate_job(args) -> dict:
             units[("baseline", delta)] = _attempt(_baseline_row, ds, cfgs[delta])
     if not amp_pls:
         return units
-    ran = run_draw(list(draws.values()), AmpConfig(T=spec.T, record_history=False),
-                   [traces[delta] for delta in draws], wrap=_isolated)
-    for (delta, ds), outcome in zip(draws.items(), ran):
+    datasets, draw_traces = list(draws.values()), [traces[delta] for delta in draws]
+    ran = run_draw(datasets, AmpConfig(T=spec.T, record_history=False), draw_traces,
+                   wrap=_isolated)
+    outcomes = {pl: ran for pl in amp_pls}
+    if "universality" in amp_pls:
+        outcomes["universality"] = _with_surrogate(spec, datasets, draw_traces, ran)
+    for k, (delta, ds) in enumerate(draws.items()):
         for pl in amp_pls:
+            outcome = outcomes[pl][k]
             units[(pl, delta)] = (outcome if outcome[0] == "err" else
                                   _attempt(_PIPELINES[pl].amp_row, spec, ds, outcome[1],
                                            traces[delta]))
     return units
+
+
+def _with_surrogate(spec, datasets, traces, ran) -> list:
+    """Each sbm-mode outcome of `ran` paired with its surrogate-mode run.
+
+    ``("ok", (sbm result, surrogate result))``, or the error of whichever
+    run failed first.  The surrogate runs of the draws whose sbm run
+    succeeded go in lockstep through `run_draw`, which builds the draw's
+    surrogate once for all of them.
+    """
+    ok = [k for k, outcome in enumerate(ran) if outcome[0] == "ok"]
+    sur = run_draw([datasets[k] for k in ok],
+                   AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate", record_history=False),
+                   [traces[k] for k in ok], wrap=_isolated)
+    paired = list(ran)
+    for k, outcome in zip(ok, sur):
+        paired[k] = outcome if outcome[0] == "err" else ("ok", (ran[k][1], outcome[1]))
+    return paired
 
 
 def _tune_job(args) -> LapTune:

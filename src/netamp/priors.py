@@ -19,10 +19,14 @@ observation is y = B + tau * Z'.  Degenerate parameters are interpreted as:
 * tau == inf:           the B factor is uninformative and is dropped.
 
 Posterior weights are always formed in the log domain (max-subtracted)
-so high-SNR channels do not underflow.  One function builds the quadrature
-grid of the two channels (`_grid`) and one forms the atom log-weights
-(`_log_weights`); the mmse pair and the mutual information share both, the
-latter with a batch of B-channel scales tau on a leading axis.
+so high-SNR channels do not underflow.  The atom log-weights are
+(log w - sigma-channel term) - B-channel term, each term formed by one
+function (`_sigma_log_weights`, `_half_square`).  `_log_weights` puts them
+together for the denoisers and the mmse pair.  `scalar_mi` joins them as an
+outer difference over the two node axes by one rank-2 matrix product, keeps
+each side's factor between calls, as a line search in mu or xi repeats one
+side, and takes a batch of B-channel scales tau on a leading axis.  The
+quadrature weight grid is cached per prior and rule (`_weight_grid`).
 """
 
 from __future__ import annotations
@@ -122,13 +126,34 @@ class ScalarChannelParams:
             raise ValueError("tau must be nonnegative (inf allowed)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Hermite nodes/weights normalized to the standard normal measure."""
+    """Gauss-Hermite nodes/weights normalized to the standard normal measure.
+
+    The nodes and weights are kept as read-only float copies, and a rule
+    compares and hashes by its order and the bits of both arrays, so the
+    kernels' caches can key on it: two rules share an entry exactly when
+    they give the same values.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+    _key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_key", (self.order, self.nodes.tobytes(),
+                                          self.weights.tobytes()))
+
+    def __eq__(self, other):
+        return isinstance(other, QuadratureRule) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def gauss_hermite(cls, order: int = 41) -> "QuadratureRule":
@@ -156,10 +181,12 @@ def _atom_arrays(prior: PriorSpec):
 
 
 class _Workspace(threading.local):
-    """Per-thread scratch memory of the kernels: one growing array per role."""
+    """Per-thread memory of the kernels: one growing scratch array per role,
+    and the terms of `scalar_mi`'s last channel of each side."""
 
     def __init__(self):
         self.arrays: dict[str, np.ndarray] = {}
+        self.channels: dict[str, tuple] = {}
 
 
 _WORKSPACE = _Workspace()
@@ -197,42 +224,62 @@ def _half_square(role: str, obs: np.ndarray, centre: np.ndarray, scale) -> np.nd
     return np.multiply(0.5, out, out=out)
 
 
+def _atom(v: np.ndarray, ndim: int) -> np.ndarray:
+    """(K,) -> (K, 1, ..., 1): an atom vector against operands of `ndim` axes."""
+    return v.reshape(v.shape + (1,) * ndim)
+
+
+def _sigma_log_weights(x: np.ndarray, eta, nu, prior: PriorSpec, role: str) -> np.ndarray:
+    """log w - sigma-channel term, the first half of `_log_weights`.
+
+    Shape (K,) + x.shape in the `role` scratch array, or a (K, 1, ..., 1)
+    broadcast of log w when the channel is dropped (eta == nu == 0).
+    """
+    sig, _, w = _atom_arrays(prior)
+    logw = _atom(np.log(w), x.ndim)
+    if nu == 0.0:
+        if eta != 0.0:
+            match = np.abs(x - _atom(eta * sig, x.ndim)) <= EXACT_TOL
+            logw = np.where(match, logw, -np.inf)
+        # eta == nu == 0: factor dropped
+    else:
+        term = _half_square(role, x, _atom(eta * sig, x.ndim), nu)
+        logw = np.subtract(logw, term, out=term)
+    return logw
+
+
 def _log_weights(x, y, eta, nu, tau, prior: PriorSpec) -> np.ndarray:
     """Log posterior weights over joint atoms, shape (K,) + broadcast(x, y).
 
     The module's one log-weight kernel, for x = eta*Sigma + nu*Z and
-    y = B + tau*Z' with x and y of one ndim.  ``tau`` may also be an array of
-    finite positive scales that broadcasts against y: a batch of B channels.
-    The atom sits on the leading axis, where numpy reduces fastest; each
-    channel term is formed on its own operand's shape, and the order
-    (log w - x term) - y term fixes the rounding that the naive references
-    of tests/test_priors.py pin.  Constants common to all atoms are omitted.
-    The result lives in the workspace (see `_scratch`), or is a read-only
-    broadcast of the log prior weights when both channels are dropped.
+    y = B + tau*Z' with x and y of one ndim.  The atom sits on the leading
+    axis, where numpy reduces fastest; each channel term is formed on its
+    own operand's shape, and the order (log w - x term) - y term fixes the
+    rounding that the naive references of tests/test_priors.py pin.
+    `scalar_mi` forms the same two halves (`_sigma_log_weights`, then the
+    y term by `_half_square`) and joins them by `_minuend`'s product.  Constants
+    common to all atoms are omitted.  The result lives in the workspace (see
+    `_scratch`), or is a read-only broadcast of the log prior weights when
+    both channels are dropped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sig, b, w = _atom_arrays(prior)
+    _, b, w = _atom_arrays(prior)
     full = w.shape + np.broadcast(x, y).shape
-    atom = lambda v: v.reshape(v.shape + (1,) * x.ndim)  # (K,) -> (K, 1, ..., 1)
-    logw = atom(np.log(w))
-
-    if nu == 0.0:
-        if eta != 0.0:
-            match = np.abs(x - atom(eta * sig)) <= EXACT_TOL
-            logw = np.where(match, logw, -np.inf)
-        # eta == nu == 0: factor dropped
-    else:
-        term = _half_square("x_term", x, atom(eta * sig), nu)
-        logw = np.subtract(logw, term, out=term)
-
-    batch = isinstance(tau, np.ndarray)
-    if not batch and tau == 0.0:
-        match = np.abs(y - atom(b)) <= EXACT_TOL
+    logw = _sigma_log_weights(x, eta, nu, prior, "x_term")
+    if tau == 0.0:
+        match = np.abs(y - _atom(b, x.ndim)) <= EXACT_TOL
         logw = np.where(match, logw, -np.inf)
-    elif batch or not math.isinf(tau):
-        term = _half_square("y_term", y, atom(b), tau)
-        logw = np.subtract(logw, term, out=_scratch("logw", full))
+    elif not math.isinf(tau):
+        term = _half_square("y_term", y, _atom(b, x.ndim), tau)
+        out = _scratch("logw", full)
+        if logw.shape != full:
+            # a subtract of two operands that broadcast against each other
+            # runs one short inner loop per row; the same a - b as a copy and
+            # an in-place subtract runs in nearly flat passes
+            np.copyto(out, logw)
+            logw = out
+        logw = np.subtract(logw, term, out=out)
     # tau == inf: factor dropped
 
     # a broadcast view of a full-size array would make the callers' in-place
@@ -331,24 +378,33 @@ def denoiser_partials(x, y, ch: ScalarChannelParams, prior: PriorSpec):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_grid(prior: PriorSpec, quad: QuadratureRule, informative_sig: bool,
+                 informative_b: bool) -> np.ndarray:
+    """Read-only w * w_b * w_sig on (atom, z_b, z_sig), cached per prior, rule
+    and which channels are present; an absent channel has one node of weight one."""
+    _, _, w = _atom_arrays(prior)
+    w_sig = quad.weights if informative_sig else np.ones(1)
+    w_b = quad.weights if informative_b else np.ones(1)
+    wgrid = w[:, None, None] * w_b[None, :, None] * w_sig[None, None, :]
+    wgrid.flags.writeable = False
+    return wgrid
+
+
 def _grid(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
-    """The module's one quadrature grid: (X, Y, wgrid) given the true atom.
+    """The quadrature grid of `_mmse_channels`: (X, Y, wgrid) given the true atom.
 
     X = eta*sig + nu*z on (atom, 1, z_sig), Y = b + tau*z on (atom, z_b, 1)
-    and wgrid = w * w_b * w_sig on (atom, z_b, z_sig), in the workspace.  An
-    absent channel (nu == 0, or tau == inf) collapses to one node of weight
-    one.  A tau batch of shape (batch, 1, 1, 1) puts Y on (batch, atom, z_b, 1).
+    and the cached `_weight_grid` on (atom, z_b, z_sig).  An absent channel
+    (nu == 0, or tau == inf) collapses to one node.
     """
-    sig, b, w = _atom_arrays(prior)
-    z_sig, w_sig = (quad.nodes, quad.weights) if nu > 0 else (np.zeros(1), np.ones(1))
-    informative_b = isinstance(tau, np.ndarray) or not math.isinf(tau)
-    z_b, w_b = (quad.nodes, quad.weights) if informative_b else (np.zeros(1), np.ones(1))
-
+    sig, b, _ = _atom_arrays(prior)
+    informative_sig, informative_b = bool(nu > 0), not math.isinf(tau)
+    z_sig = quad.nodes if informative_sig else np.zeros(1)
+    z_b = quad.nodes if informative_b else np.zeros(1)
     X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
     Y = b[:, None, None] + (tau if informative_b else 0.0) * z_b[None, :, None]
-    wgrid = np.multiply(w[:, None, None] * w_b[None, :, None], w_sig[None, None, :],
-                        out=_scratch("weights", (len(w), len(z_b), len(z_sig))))
-    return X, Y, wgrid
+    return X, Y, _weight_grid(prior, quad, informative_sig, informative_b)
 
 
 def _mmse_channels(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
@@ -400,6 +456,74 @@ def mmse2(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
     return mmse_pair(mu, xi, prior, Delta, kappa, quad)[1]
 
 
+def _channel_terms(side: str, key: tuple, build) -> dict:
+    """`scalar_mi`'s terms of one side's channel, rebuilt only when key changes.
+
+    Each thread keeps the terms of the last channel of each side ("sigma":
+    eta, nu; "b": the taus), keyed by everything they depend on: the prior,
+    the rule (by its bits, see `QuadratureRule`) and the channel.  A line
+    search that moves only xi or only mu then forms only the side that moved.
+    ``build()`` makes the terms on a miss.
+    """
+    last = _WORKSPACE.channels.pop(side, None)
+    terms = last[1] if last is not None and last[0] == key else build()
+    _WORKSPACE.channels[side] = (key, terms)
+    return terms
+
+
+# `scalar_mi`'s full-size arrays are outer differences a[..., z_sig] - b[..., z_b]
+# over the two node axes.  numpy runs such a broadcast subtract one short row
+# at a time, so they are formed as the rank-2 products [1, -b] @ [[a], [1]] of
+# a "subtrahend" (..., Q, 2) and a "minuend" (..., 2, Q) factor, one matmul
+# over the stack.  Each entry is 1*a + (-b)*1: for finite a and b both
+# products are exact, so the one rounding of their sum gives a - b bit for
+# bit, whatever order or fused multiply-add the matrix product uses.
+
+def _minuend(role: str, a: np.ndarray) -> np.ndarray:
+    """[[a], [1]], (..., 2, Q), of a (..., 1, Q) array, in the `role` scratch array."""
+    f = _scratch(role, a.shape[:-2] + (2, a.shape[-1]))
+    f[..., :1, :] = a
+    f[..., 1, :] = 1.0
+    return f
+
+
+def _subtrahend(role: str, b: np.ndarray) -> np.ndarray:
+    """[1, -b], (..., Q, 2), of a (..., Q, 1) array, in the `role` scratch array."""
+    f = _scratch(role, b.shape[:-1] + (2,))
+    f[..., :1] = 1.0
+    np.negative(b, out=f[..., 1:])
+    return f
+
+
+def _mi_sigma_terms(prior: PriorSpec, quad: QuadratureRule, eta: float, nu: float) -> dict:
+    """The sigma channel's share of `scalar_mi`, as minuends on (.., z_sig).
+
+    "lw" holds log w - the x term of every mixture atom m for the true atom
+    k, on (m, 1, k, ., z_sig), and "num_a" the x term of the true atom, on
+    (k, ., z_sig).  The weight grid rides along, as it depends only on the
+    prior and the rule.
+    """
+    sig, _, _ = _atom_arrays(prior)
+    X = eta * sig[:, None, None] + nu * quad.nodes[None, None, :]
+    return {"lw": _minuend("mi_lw", _sigma_log_weights(X[None], eta, nu, prior, "x_term")),
+            "num_a": _minuend("mi_num_a", -0.5 * ((X - eta * sig[:, None, None]) / nu) ** 2),
+            "wgrid": _weight_grid(prior, quad, True, True)}
+
+
+def _mi_b_terms(prior: PriorSpec, quad: QuadratureRule, taus: tuple) -> dict:
+    """The B channels' share of `scalar_mi`, as subtrahends on (.., z_b, .).
+
+    "term" holds the y term of every mixture atom m for the true atom k, on
+    (m, batch, k, z_b, .), and "num_y" the y term of the true atom, on
+    (batch, k, z_b, .).
+    """
+    _, b, _ = _atom_arrays(prior)
+    tau = np.array(taus)[:, None, None, None]
+    Y = b[:, None, None] + tau * quad.nodes[None, :, None]
+    return {"term": _subtrahend("mi_term", _half_square("y_term", Y, _atom(b, Y.ndim), tau)),
+            "num_y": _subtrahend("mi_num_y", 0.5 * ((Y - b[:, None, None]) / tau) ** 2)}
+
+
 def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
               quad: QuadratureRule = DEFAULT_QUAD):
     """Mutual information between (Sigma, B) and the pair of scalar observations.
@@ -407,40 +531,43 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
     The observations are a = sqrt(mu)*Sigma + Z and
     y = B + sqrt(Delta(1+xi)/kappa)*eps with independent standard normals.
     Computed as the expectation of log [P(a,y|Sigma,B) / P(a,y)]: exact sums
-    over atoms outside, quadrature over (Z, eps) on `_grid`, and the mixture
-    P(a,y) from the `_log_weights` of every atom.
+    over atoms outside, quadrature over (Z, eps), and the mixture P(a,y) from
+    the log-weights of every atom, formed as `_log_weights` forms them.
 
     ``xi`` is a float, which gives a float, or a 1-D array of values at the
     same mu, which gives an array.  A batch is a tau batch on a leading axis
     of Y and rounds each entry exactly as a call at that xi alone; the
-    sigma-channel terms are formed once.  The (K, batch, K, Q, Q) mixture
-    array and the grids live in the workspace (see `_scratch`); keep batches
-    small (`rs_potential` uses 10 at order 21, about 1.3 MB for six atoms).
+    sigma-channel terms are formed once.  The terms of each side's last
+    channel are kept between calls (`_channel_terms`), as the factors whose
+    product is the full-size (log w - x term) - y term (see `_minuend`).
+    The (K, batch, K, Q, Q) mixture array lives in the workspace (see
+    `_scratch`); keep batches small (`rs_potential` uses 10 at order 21,
+    about 1.3 MB for six atoms).
     """
     if quad.order < 21:
         raise ValueError("quadrature order must be at least 21")
     xis = np.asarray(xi, dtype=float)
     if xis.ndim > 1:
         raise ValueError("xi must be a float or a 1-D array")
-    tau = np.array([_mu_xi_channels(mu, x, Delta, kappa)[2]
-                    for x in xis.reshape(-1)])[:, None, None, None]
+    taus = tuple(_mu_xi_channels(mu, x, Delta, kappa)[2] for x in xis.reshape(-1))
     eta, nu, _ = _mu_xi_channels(mu, 0.0, Delta, kappa)
-    sig, b, _ = _atom_arrays(prior)
-    X, Y, wgrid = _grid(prior, eta, nu, tau, quad)
+    sig_terms = _channel_terms("sigma", (prior, quad, eta, nu),
+                               lambda: _mi_sigma_terms(prior, quad, eta, nu))
+    b_terms = _channel_terms("b", (prior, quad, taus), lambda: _mi_b_terms(prior, quad, taus))
+    K, Q = sig_terms["lw"].shape[0], quad.order
 
     # log of the mixture density over atoms m, on the leading axis of
     # (m, batch, k, z_b, z_sig), by max-subtracted log-sum-exp
-    logw = _log_weights(X[None], Y, eta, nu, tau, prior)
-    mx = np.max(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
+    logw = np.matmul(b_terms["term"], sig_terms["lw"],
+                     out=_scratch("logw", (K, len(taus), K, Q, Q)))
+    mx = np.maximum.reduce(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
     np.subtract(logw, mx, out=logw)
-    log_den = np.sum(np.exp(logw, out=logw), axis=0, out=_scratch("grid2", mx.shape))
+    log_den = np.add.reduce(np.exp(logw, out=logw), axis=0, out=_scratch("grid2", mx.shape))
     np.add(mx, np.log(log_den, out=log_den), out=log_den)
 
     # conditional log-likelihood (constants cancel against the mixture),
     # written over the spent maximum
-    num_a = -0.5 * ((X - eta * sig[:, None, None]) / nu) ** 2
-    num_y = 0.5 * ((Y - b[:, None, None]) / tau) ** 2
-    terms = np.subtract(num_a, num_y, out=mx)
+    terms = np.matmul(b_terms["num_y"], sig_terms["num_a"], out=mx)
     np.subtract(terms, log_den, out=terms)
-    vals = np.multiply(wgrid, terms, out=terms).reshape(len(tau), -1).sum(axis=1)
+    vals = np.multiply(sig_terms["wgrid"], terms, out=terms).reshape(len(taus), -1).sum(axis=1)
     return float(vals[0]) if xis.ndim == 0 else vals

@@ -578,3 +578,50 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "File exists" in err and "--overwrite" not in err
+
+    @staticmethod
+    def _out_is_a_file(capsys, argv, afile):
+        """argv with --out at afile, and below it, each exits 2 naming afile."""
+        for out in (afile, afile / "sub"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"File exists: '{afile}'" in err and "Traceback" not in err
+            assert afile.read_text() == "kept\n"
+
+    @staticmethod
+    def _unreachable(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    def test_harness_out_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """An --out that is a regular file stops the harness subcommands before
+        the state evolution, the draws or the potential."""
+        for name in ("se_run", "generate", "fixed_point", "minimize"):
+            monkeypatch.setattr(f"netamp.experiments.{name}", self._unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        for argv in (["se-solve", "--T", "3"], ["mi-curve"],
+                     ["fdr-sim", "--n", "60", "--p", "50", "--b-p", "10"],
+                     ["coverage-sim", "--n", "60", "--p", "50", "--b-p", "10"],
+                     ["experiment", "smoke"]):
+            self._out_is_a_file(capsys, argv, afile)
+
+    def test_dataset_out_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """amp-run and baseline-lap check --out before the state evolution, AMP
+        or the tuning."""
+        data = str(tmp_path / "ds")
+        assert cli_main(["generate", "--n", "60", "--p", "50", "--b-p", "10",
+                         "--out", data]) == 0
+        for name in ("se_run", "run", "tune"):
+            monkeypatch.setattr(f"netamp.cli.{name}", self._unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        for argv in (["amp-run", "--data", data], ["baseline-lap", "--data", data]):
+            self._out_is_a_file(capsys, argv, afile)
+
+    def test_generate_out_file_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("netamp.cli.generate", self._unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        self._out_is_a_file(capsys, ["generate", "--n", "60", "--p", "50"], afile)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from netamp.errors import DegenerateChannel, InconsistentObservation
 from netamp.priors import (EXACT_TOL, PriorSpec, QuadratureRule, ScalarChannelParams,
-                           _atom_arrays, _mmse_channels, denoise_beta, denoise_sigma,
+                           _atom_arrays, _mmse_channels, _weight_grid, denoise_beta, denoise_sigma,
                            denoiser_partials, joint_atoms, mmse1, mmse2, mmse_pair,
                            scalar_mi, spike_slab)
 from netamp.rs_potential import rs_value
@@ -333,10 +334,16 @@ def test_repeated_calls_do_not_fault(five_atom, quad):
 
     xis = np.linspace(0.0, 3.0, 10)
     x, y = np.random.default_rng(0).normal(size=(2, 3000))
+    step = itertools.count()
     calls = [lambda: mmse_pair(1.0, 0.5, five_atom, 1.0, 1.5, quad),
              lambda: scalar_mi(1.0, 0.5, five_atom, 1.0, 1.5, quad),
              lambda: scalar_mi(1.0, xis, five_atom, 1.0, 1.5, _QUADS[21]),
-             lambda: denoiser_partials(x, y, CH, five_atom)]
+             lambda: denoiser_partials(x, y, CH, five_atom),
+             # line searches: xi moves at fixed mu (a 10-wide batch too), mu at fixed xi
+             lambda: scalar_mi(1.0, 0.5 + 1e-3 * (next(step) % 7), five_atom, 1.0, 1.5, quad),
+             lambda: scalar_mi(1.0, xis + 1e-3 * (next(step) % 7), five_atom, 1.0, 1.5,
+                               _QUADS[21]),
+             lambda: scalar_mi(1.0 + 1e-3 * (next(step) % 7), 0.5, five_atom, 1.0, 1.5, quad)]
     for call in calls:
         call()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -544,3 +551,59 @@ class TestKernelOracle:
                               np.clip(_naive_posterior(x, y, ch, five_atom) @ sig, 0.0, 1.0))
         assert (_mmse_channels(five_atom, eta, nu, tau, quad)
                 == _naive_mmse_channels(five_atom, eta, nu, tau, quad))
+
+
+class TestWarmCaches:
+    """The kernels keep the weight grids, and `scalar_mi` the terms of each
+    side's last channel, between calls; warm or cold, every value is the
+    naive reference's, bit for bit."""
+
+    PRIORS = (spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]), spike_slab(0.7, [-1.0, 1.0]))
+    # a rule of order 41 with other nodes: it must never share a cache entry with _QUADS[41]
+    WIDE = QuadratureRule(nodes=1.25 * _QUADS[41].nodes, weights=_QUADS[41].weights, order=41)
+    DELTA, KAPPA = 1.0, 1.5
+    XI_SEARCH = [(0.9, xi) for xi in (0.3, 1.2, 0.7, 0.8)]     # xi moves at mu = 0.9
+    MU_SEARCH = [(mu, 0.8) for mu in (0.2, 1.6, 0.9, 1.0)]     # then mu at xi = 0.8
+
+    def _check_point(self, prior, q, mu, xi):
+        """scalar_mi at a point and in a 10-wide batch, mmse_pair and
+        _mmse_channels, in the order of the potential's calls."""
+        D, k = self.DELTA, self.KAPPA
+        assert scalar_mi(mu, xi, prior, D, k, q) == _naive_scalar_mi(mu, xi, prior, D, k, q)
+        batch = xi + np.linspace(0.0, 0.9, 10)
+        assert (scalar_mi(mu, batch, prior, D, k, q).tolist()
+                == [_naive_scalar_mi(mu, x, prior, D, k, q) for x in batch])
+        assert scalar_mi(mu, xi, prior, D, k, q) == _naive_scalar_mi(mu, xi, prior, D, k, q)
+        ref = _naive_mmse_channels(prior, *_channels(mu, xi, D, k), q)
+        assert mmse_pair(mu, xi, prior, D, k, q) == ref
+        assert _mmse_channels(prior, *_channels(mu, xi, D, k), q) == ref
+
+    def test_line_search_order_bitwise(self):
+        """A coordinate descent's order, xi moving at fixed mu and then mu at
+        fixed xi: one search alone, then each point at two priors and three
+        rules in turn (orders 21 and 41, and a second order-41 rule)."""
+        for search in (self.XI_SEARCH, self.MU_SEARCH):
+            for mu, xi in search:
+                self._check_point(self.PRIORS[0], _QUADS[41], mu, xi)
+            for mu, xi in search:
+                for prior in self.PRIORS:
+                    for q in (_QUADS[21], _QUADS[41], self.WIDE):
+                        self._check_point(prior, q, mu, xi)
+
+    def test_weight_grids_read_only(self):
+        for prior in self.PRIORS:
+            for q in (_QUADS[21], _QUADS[41], self.WIDE):
+                scalar_mi(0.5, 0.5, prior, self.DELTA, self.KAPPA, q)
+                for present in ((True, True), (True, False), (False, True), (False, False)):
+                    wgrid = _weight_grid(prior, q, *present)
+                    assert not wgrid.flags.writeable
+                    with pytest.raises(ValueError):
+                        wgrid[0, 0, 0] = 0.0
+        assert _weight_grid(self.PRIORS[0], _QUADS[41], True, True) is not \
+            _weight_grid(self.PRIORS[0], self.WIDE, True, True)
+
+    def test_rules_compare_by_their_bits(self):
+        assert QuadratureRule.gauss_hermite(41) == _QUADS[41]
+        assert hash(QuadratureRule.gauss_hermite(41)) == hash(_QUADS[41])
+        assert self.WIDE != _QUADS[41] and _QUADS[21] != _QUADS[41]
+        assert not _QUADS[41].nodes.flags.writeable and not _QUADS[41].weights.flags.writeable
