@@ -29,9 +29,11 @@ subdirectory of OUT_DIR:
   ``netamp.priors`` (``scalar_mi`` at single points and in 10-wide xi
   batches at orders 21 and 41, ``mmse_pair``, and ``_mmse_channels`` and the
   denoisers with their partials under every channel convention, the two
-  exact-conditioning ones included, which no harness CSV reaches), and
+  exact-conditioning ones included, which no harness CSV reaches),
   ``scalar_mi`` along a short xi search at fixed mu and a mu search at fixed
-  xi per prior and order, so the rows also cover its warm per-side cache.
+  xi, ``mmse_pair`` and ``_mmse_channels`` along a short ``fixed_point``-style
+  alternation, and one ``se_run`` trace, per prior and order, so the rows
+  also cover the warm per-side caches that these kernels share.
 
 Each case's outcome ("ok", or the type and message of what the harness
 raised) goes into OUT_DIR/outcomes.csv.  Two checkouts give the same outputs
@@ -145,6 +147,8 @@ def kernels(priors, case_dir: str) -> None:
     """
     import numpy as np
 
+    import netamp.state_evolution as state_evolution
+
     two = ((-1.0, 0.5), (1.0, 0.5))
     named_priors = {
         "five_atom": priors.spike_slab(0.4, [-2.0, -1.0, 0.0, 1.0, 2.0]),
@@ -169,6 +173,10 @@ def kernels(priors, case_dir: str) -> None:
         except Exception as exc:    # the outcome is part of the compared output
             return f"{type(exc).__name__}: {exc}"
 
+    def se_trace(prior, quad):
+        trace = state_evolution.se_run(prior, 2.0, 1.5, 1.0, 4, quad)
+        return np.concatenate([trace.eta, trace.nu, trace.tau])
+
     rows = [("kernel", "prior", "arguments", "value")]
     for name, prior in named_priors.items():
         for order, quad in quads.items():
@@ -189,6 +197,22 @@ def kernels(priors, case_dir: str) -> None:
                 at = f"mu={mu!r} xi={shown} Delta=1.0 kappa=1.5 order={order} line search"
                 rows.append(("scalar_mi", name, at,
                              value(priors.scalar_mi, mu, xis, prior, 1.0, 1.5, quad)))
+            # warm caches of the mmse pair, as fixed_point uses them: mmse1(mu, xi)
+            # (here mmse_pair), then mmse2(mu_new, xi) (here _mmse_channels at
+            # mmse_pair's channels), so each call moves one channel
+            mu, xi = 0.0, prior.second_moment_b()
+            for _ in range(3):
+                at = f"mu={mu!r} xi={xi!r} Delta=1.0 kappa=1.5 order={order} fixed point"
+                pair = value(priors.mmse_pair, mu, xi, prior, 1.0, 1.5, quad)
+                rows.append(("mmse_pair", name, at, pair))
+                mu = 2.0 * (prior.rho - float(pair.split(";")[0]))
+                ch = priors._mu_xi_channels(mu, xi, 1.0, 1.5)
+                at = f"eta={ch[0]!r} nu={ch[1]!r} tau={ch[2]!r} order={order} fixed point"
+                pair = value(priors._mmse_channels, prior, *ch, quad)
+                rows.append(("_mmse_channels", name, at, pair))
+                xi = float(pair.split(";")[1])
+            rows.append(("se_run", name, f"lam=2.0 kappa=1.5 Delta=1.0 T=4 order={order} "
+                         "eta;nu;tau", value(se_trace, prior, quad)))
         sig, b, _ = priors._atom_arrays(prior)
         for eta, nu, tau in channels:
             rng = np.random.default_rng(7)

@@ -21,12 +21,12 @@ observation is y = B + tau * Z'.  Degenerate parameters are interpreted as:
 Posterior weights are always formed in the log domain (max-subtracted)
 so high-SNR channels do not underflow.  The atom log-weights are
 (log w - sigma-channel term) - B-channel term, each term formed by one
-function (`_sigma_log_weights`, `_half_square`).  `_log_weights` puts them
-together for the denoisers and the mmse pair.  `scalar_mi` joins them as an
-outer difference over the two node axes by one rank-2 matrix product, keeps
-each side's factor between calls, as a line search in mu or xi repeats one
-side, and takes a batch of B-channel scales tau on a leading axis.  The
-quadrature weight grid is cached per prior and rule (`_weight_grid`).
+function (`_sigma_log_weights`, `_half_square`).  `_log_weights` joins them
+for the denoisers; on the quadrature grid, the mmse pair and `scalar_mi`
+share one construction (`_grid_log_weights`): a rank-2 matrix product of
+the two sides' factors, each kept between calls, as a line search or a
+state-evolution step moves one side.  The quadrature weight grid is cached
+per prior and rule (`_weight_grid`).
 """
 
 from __future__ import annotations
@@ -182,11 +182,11 @@ def _atom_arrays(prior: PriorSpec):
 
 class _Workspace(threading.local):
     """Per-thread memory of the kernels: one growing scratch array per role,
-    and the terms of `scalar_mi`'s last channel of each side."""
+    and the quadrature grid's factors of the last channel of each side."""
 
     def __init__(self):
         self.arrays: dict[str, np.ndarray] = {}
-        self.channels: dict[str, tuple] = {}
+        self.channels: dict = {}
 
 
 _WORKSPACE = _Workspace()
@@ -229,75 +229,69 @@ def _atom(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(v.shape + (1,) * ndim)
 
 
-def _sigma_log_weights(x: np.ndarray, eta, nu, prior: PriorSpec, role: str) -> np.ndarray:
-    """log w - sigma-channel term, the first half of `_log_weights`.
+def _sigma_log_weights(x: np.ndarray, eta, nu, prior: PriorSpec) -> np.ndarray:
+    """log w - sigma-channel term, the first half of the atom log-weights.
 
-    Shape (K,) + x.shape in the `role` scratch array, or a (K, 1, ..., 1)
-    broadcast of log w when the channel is dropped (eta == nu == 0).
+    Shape (K,) + x.shape in the "x_term" scratch array, or a (K, 1, ..., 1)
+    broadcast of log w when the channel has no term (nu == 0).
     """
     sig, _, w = _atom_arrays(prior)
     logw = _atom(np.log(w), x.ndim)
     if nu == 0.0:
-        if eta != 0.0:
-            match = np.abs(x - _atom(eta * sig, x.ndim)) <= EXACT_TOL
-            logw = np.where(match, logw, -np.inf)
-        # eta == nu == 0: factor dropped
-    else:
-        term = _half_square(role, x, _atom(eta * sig, x.ndim), nu)
-        logw = np.subtract(logw, term, out=term)
+        return logw
+    term = _half_square("x_term", x, _atom(eta * sig, x.ndim), nu)
+    return np.subtract(logw, term, out=term)
+
+
+def _exact_conditioning(logw, x, y, eta, nu, tau, prior: PriorSpec) -> np.ndarray:
+    """logw with -inf at the atoms more than EXACT_TOL from an exact-conditioning
+    channel's observation: x when nu == 0 < eta, y when tau == 0."""
+    sig, b, _ = _atom_arrays(prior)
+    if nu == 0.0 and eta != 0.0:
+        logw = np.where(np.abs(x - _atom(eta * sig, x.ndim)) <= EXACT_TOL, logw, -np.inf)
+    if tau == 0.0:
+        logw = np.where(np.abs(y - _atom(b, y.ndim)) <= EXACT_TOL, logw, -np.inf)
     return logw
 
 
 def _log_weights(x, y, eta, nu, tau, prior: PriorSpec) -> np.ndarray:
-    """Log posterior weights over joint atoms, shape (K,) + broadcast(x, y).
+    """The denoisers' log posterior weights over joint atoms, (K,) + broadcast(x, y).
 
-    The module's one log-weight kernel, for x = eta*Sigma + nu*Z and
-    y = B + tau*Z' with x and y of one ndim.  The atom sits on the leading
-    axis, where numpy reduces fastest; each channel term is formed on its
-    own operand's shape, and the order (log w - x term) - y term fixes the
-    rounding that the naive references of tests/test_priors.py pin.
-    `scalar_mi` forms the same two halves (`_sigma_log_weights`, then the
-    y term by `_half_square`) and joins them by `_minuend`'s product.  Constants
-    common to all atoms are omitted.  The result lives in the workspace (see
-    `_scratch`), or is a read-only broadcast of the log prior weights when
-    both channels are dropped.
+    For arrays x = eta*Sigma + nu*Z and y = B + tau*Z' of one ndim.
+    The atom sits on the leading axis, where numpy reduces fastest; the order
+    (log w - x term) - y term fixes the rounding that the naive references
+    of tests/test_priors.py pin, and `_grid_log_weights` keeps it on the
+    quadrature grid.  Constants common to all atoms are omitted.  The result
+    lives in the workspace (see `_scratch`), or is a read-only broadcast of
+    the log prior weights when no channel has a term.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     _, b, w = _atom_arrays(prior)
     full = w.shape + np.broadcast(x, y).shape
-    logw = _sigma_log_weights(x, eta, nu, prior, "x_term")
-    if tau == 0.0:
-        match = np.abs(y - _atom(b, x.ndim)) <= EXACT_TOL
-        logw = np.where(match, logw, -np.inf)
-    elif not math.isinf(tau):
+    logw = _sigma_log_weights(x, eta, nu, prior)
+    if tau != 0.0 and not math.isinf(tau):
         term = _half_square("y_term", y, _atom(b, x.ndim), tau)
-        out = _scratch("logw", full)
-        if logw.shape != full:
-            # a subtract of two operands that broadcast against each other
-            # runs one short inner loop per row; the same a - b as a copy and
-            # an in-place subtract runs in nearly flat passes
-            np.copyto(out, logw)
-            logw = out
-        logw = np.subtract(logw, term, out=out)
-    # tau == inf: factor dropped
-
+        logw = np.subtract(logw, term, out=_scratch("logw", full))
+    logw = _exact_conditioning(logw, x, y, eta, nu, tau, prior)
     # a broadcast view of a full-size array would make the callers' in-place
     # updates copy their input first
     return logw if logw.shape == full else np.broadcast_to(logw, full)
 
 
 def _posterior(x, y, ch: ScalarChannelParams, prior: PriorSpec) -> np.ndarray:
-    """Normalized posterior atom probabilities, shape broadcast(x, y) + (K,).
+    """Normalized posterior atom probabilities of `_log_weights`, shape broadcast(x, y) + (K,)."""
+    return _normalized(_log_weights(x, y, ch.eta, ch.nu, ch.tau, prior))
 
-    The weights are normalized over the leading atom axis of `_log_weights`
-    and written straight into a contiguous (..., K) array, so the `post @ v`
-    products of the callers see the same operand as a last-axis build.
-    Every full-size temporary, and the result, is a workspace array (see
-    `_scratch`): the caller must be done with the result before its thread
-    calls another kernel of this module.
+
+def _normalized(logw: np.ndarray) -> np.ndarray:
+    """Posterior atom probabilities of log-weights whose leading axis is the atom's.
+
+    The weights are normalized over that axis and written straight into a
+    contiguous (..., K) array, so the `post @ v` products of the callers see
+    the same operand as a last-axis build.  Every full-size temporary, and
+    the result, is a workspace array (see `_scratch`): the caller must be
+    done with the result before its thread calls another kernel of this
+    module.
     """
-    logw = _log_weights(x, y, ch.eta, ch.nu, ch.tau, prior)
     mx = np.max(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
     if np.any(np.isneginf(mx)):
         raise InconsistentObservation("inconsistent observation")
@@ -391,32 +385,16 @@ def _weight_grid(prior: PriorSpec, quad: QuadratureRule, informative_sig: bool,
     return wgrid
 
 
-def _grid(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
-    """The quadrature grid of `_mmse_channels`: (X, Y, wgrid) given the true atom.
-
-    X = eta*sig + nu*z on (atom, 1, z_sig), Y = b + tau*z on (atom, z_b, 1)
-    and the cached `_weight_grid` on (atom, z_b, z_sig).  An absent channel
-    (nu == 0, or tau == inf) collapses to one node.
-    """
-    sig, b, _ = _atom_arrays(prior)
-    informative_sig, informative_b = bool(nu > 0), not math.isinf(tau)
-    z_sig = quad.nodes if informative_sig else np.zeros(1)
-    z_b = quad.nodes if informative_b else np.zeros(1)
-    X = eta * sig[:, None, None] + nu * z_sig[None, None, :]
-    Y = b[:, None, None] + (tau if informative_b else 0.0) * z_b[None, :, None]
-    return X, Y, _weight_grid(prior, quad, informative_sig, informative_b)
-
-
 def _mmse_channels(prior: PriorSpec, eta, nu, tau, quad: QuadratureRule):
     """(mmse_sigma, mmse_b) for channels x = eta*Sigma + nu*Z, y = B + tau*Z'.
 
-    Exact atom sums outside, tensor Gauss-Hermite inside (`_grid`).
-    Degenerate parameters follow the module conventions; fully uninformative
-    channels reduce to the prior variances.
+    Exact atom sums outside, tensor Gauss-Hermite inside (`_grid_log_weights`
+    at one tau).  Degenerate parameters follow the module conventions;
+    fully uninformative channels reduce to the prior variances.
     """
     sig, b, _ = _atom_arrays(prior)
-    X, Y, wgrid = _grid(prior, eta, nu, tau, quad)
-    post = _posterior(X, Y, ScalarChannelParams(eta=eta, nu=nu, tau=tau), prior)
+    logw, wgrid, _, _ = _grid_log_weights(prior, quad, eta, nu, (tau,))
+    post = _normalized(logw[:, 0])
 
     def mse(v):
         err = np.matmul(post, v, out=_scratch("grid", wgrid.shape))
@@ -456,22 +434,22 @@ def mmse2(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
     return mmse_pair(mu, xi, prior, Delta, kappa, quad)[1]
 
 
-def _channel_terms(side: str, key: tuple, build) -> dict:
-    """`scalar_mi`'s terms of one side's channel, rebuilt only when key changes.
+def _channel_terms(build, *key) -> dict:
+    """``build(*key)``, one side's factors, rebuilt only when key changes.
 
-    Each thread keeps the terms of the last channel of each side ("sigma":
-    eta, nu; "b": the taus), keyed by everything they depend on: the prior,
-    the rule (by its bits, see `QuadratureRule`) and the channel.  A line
-    search that moves only xi or only mu then forms only the side that moved.
-    ``build()`` makes the terms on a miss.
+    Each thread keeps the factors of the last channel of each side
+    (`_sigma_terms`: eta, nu; `_b_terms`: the taus), keyed by everything they
+    depend on: the prior, the rule (by its bits, see `QuadratureRule`) and
+    the channel.  A line search, fixed-point step or state-evolution step
+    that moves one channel then forms only the side that moved.
     """
-    last = _WORKSPACE.channels.pop(side, None)
-    terms = last[1] if last is not None and last[0] == key else build()
-    _WORKSPACE.channels[side] = (key, terms)
+    last = _WORKSPACE.channels.pop(build, None)
+    terms = last[1] if last is not None and last[0] == key else build(*key)
+    _WORKSPACE.channels[build] = (key, terms)
     return terms
 
 
-# `scalar_mi`'s full-size arrays are outer differences a[..., z_sig] - b[..., z_b]
+# The quadrature grid's full-size arrays are outer differences a[..., z_sig] - b[..., z_b]
 # over the two node axes.  numpy runs such a broadcast subtract one short row
 # at a time, so they are formed as the rank-2 products [1, -b] @ [[a], [1]] of
 # a "subtrahend" (..., Q, 2) and a "minuend" (..., 2, Q) factor, one matmul
@@ -495,33 +473,59 @@ def _subtrahend(role: str, b: np.ndarray) -> np.ndarray:
     return f
 
 
-def _mi_sigma_terms(prior: PriorSpec, quad: QuadratureRule, eta: float, nu: float) -> dict:
-    """The sigma channel's share of `scalar_mi`, as minuends on (.., z_sig).
+def _sigma_terms(prior: PriorSpec, quad: QuadratureRule, eta, nu) -> dict:
+    """The sigma channel's factors, as minuends on (.., z_sig), one node if nu == 0.
 
     "lw" holds log w - the x term of every mixture atom m for the true atom
-    k, on (m, 1, k, ., z_sig), and "num_a" the x term of the true atom, on
-    (k, ., z_sig).  The weight grid rides along, as it depends only on the
-    prior and the rule.
+    k, on (m, 1, k, ., z_sig), and "num_a" (nu > 0) the x term of the true
+    atom, on (k, ., z_sig).
     """
     sig, _, _ = _atom_arrays(prior)
     X = eta * sig[:, None, None] + nu * quad.nodes[None, None, :]
-    return {"lw": _minuend("mi_lw", _sigma_log_weights(X[None], eta, nu, prior, "x_term")),
-            "num_a": _minuend("mi_num_a", -0.5 * ((X - eta * sig[:, None, None]) / nu) ** 2),
-            "wgrid": _weight_grid(prior, quad, True, True)}
+    terms = {"lw": _minuend("lw", _sigma_log_weights(X[None], eta, nu, prior))}
+    if nu > 0:
+        terms["num_a"] = _minuend("num_a", -0.5 * ((X - eta * sig[:, None, None]) / nu) ** 2)
+    return terms
 
 
-def _mi_b_terms(prior: PriorSpec, quad: QuadratureRule, taus: tuple) -> dict:
-    """The B channels' share of `scalar_mi`, as subtrahends on (.., z_b, .).
+def _b_terms(prior: PriorSpec, quad: QuadratureRule, taus: tuple) -> dict:
+    """The B channels' factors, as subtrahends on (.., z_b, .).
 
     "term" holds the y term of every mixture atom m for the true atom k, on
     (m, batch, k, z_b, .), and "num_y" the y term of the true atom, on
-    (batch, k, z_b, .).
+    (batch, k, z_b, .).  The taus are finite and positive, or one tau with
+    no y term: 0 (exact conditioning) or inf (absent, with one node).
     """
     _, b, _ = _atom_arrays(prior)
+    if taus in ((0.0,), (math.inf,)):
+        nodes = 1 if math.isinf(taus[0]) else len(quad.nodes)
+        return {"term": _subtrahend("term", np.zeros((len(b), 1, len(b), nodes, 1)))}
     tau = np.array(taus)[:, None, None, None]
     Y = b[:, None, None] + tau * quad.nodes[None, :, None]
-    return {"term": _subtrahend("mi_term", _half_square("y_term", Y, _atom(b, Y.ndim), tau)),
-            "num_y": _subtrahend("mi_num_y", 0.5 * ((Y - b[:, None, None]) / tau) ** 2)}
+    return {"term": _subtrahend("term", _half_square("y_term", Y, _atom(b, Y.ndim), tau)),
+            "num_y": _subtrahend("num_y", 0.5 * ((Y - b[:, None, None]) / tau) ** 2)}
+
+
+def _grid_log_weights(prior: PriorSpec, quad: QuadratureRule, eta, nu, taus: tuple):
+    """Log-weights of every mixture atom m on the quadrature grid of each true
+    atom k, (m, batch, k, z_b, z_sig), with the weight grid (k, z_b, z_sig)
+    and both sides' factors.
+
+    The one quadrature-grid kernel, of the mmse pair and `scalar_mi`: one
+    matrix product joins the factors of `_channel_terms`' slots, and exact
+    conditioning then masks the product, as the factors must stay finite.
+    """
+    sig_terms = _channel_terms(_sigma_terms, prior, quad, eta, nu)
+    b_terms = _channel_terms(_b_terms, prior, quad, taus)
+    s, a = b_terms["term"], sig_terms["lw"]
+    logw = np.matmul(s, a, out=_scratch("logw", s.shape[:-1] + a.shape[-1:]))
+    if nu == 0.0 or taus == (0.0,):
+        # exact conditioning observes atom k itself; only one tau can be 0 (`_b_terms`)
+        sig, b, _ = _atom_arrays(prior)
+        logw = _exact_conditioning(logw, _atom(eta * sig, 2)[None], _atom(b, 2)[None],
+                                   eta, nu, taus[0], prior)
+    # an absent channel's one node has weight one
+    return logw, _weight_grid(prior, quad, a.shape[-1] > 1, s.shape[-2] > 1), sig_terms, b_terms
 
 
 def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
@@ -532,17 +536,14 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
     y = B + sqrt(Delta(1+xi)/kappa)*eps with independent standard normals.
     Computed as the expectation of log [P(a,y|Sigma,B) / P(a,y)]: exact sums
     over atoms outside, quadrature over (Z, eps), and the mixture P(a,y) from
-    the log-weights of every atom, formed as `_log_weights` forms them.
+    the log-weights of every atom (`_grid_log_weights`, as for the mmse pair).
 
     ``xi`` is a float, which gives a float, or a 1-D array of values at the
     same mu, which gives an array.  A batch is a tau batch on a leading axis
     of Y and rounds each entry exactly as a call at that xi alone; the
-    sigma-channel terms are formed once.  The terms of each side's last
-    channel are kept between calls (`_channel_terms`), as the factors whose
-    product is the full-size (log w - x term) - y term (see `_minuend`).
-    The (K, batch, K, Q, Q) mixture array lives in the workspace (see
-    `_scratch`); keep batches small (`rs_potential` uses 10 at order 21,
-    about 1.3 MB for six atoms).
+    sigma-channel factors are formed once.  The (K, batch, K, Q, Q) mixture
+    array lives in the workspace (see `_scratch`); keep batches small
+    (`rs_potential` uses 10 at order 21, about 1.3 MB for six atoms).
     """
     if quad.order < 21:
         raise ValueError("quadrature order must be at least 21")
@@ -551,15 +552,10 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
         raise ValueError("xi must be a float or a 1-D array")
     taus = tuple(_mu_xi_channels(mu, x, Delta, kappa)[2] for x in xis.reshape(-1))
     eta, nu, _ = _mu_xi_channels(mu, 0.0, Delta, kappa)
-    sig_terms = _channel_terms("sigma", (prior, quad, eta, nu),
-                               lambda: _mi_sigma_terms(prior, quad, eta, nu))
-    b_terms = _channel_terms("b", (prior, quad, taus), lambda: _mi_b_terms(prior, quad, taus))
-    K, Q = sig_terms["lw"].shape[0], quad.order
+    logw, wgrid, sig_terms, b_terms = _grid_log_weights(prior, quad, eta, nu, taus)
 
     # log of the mixture density over atoms m, on the leading axis of
     # (m, batch, k, z_b, z_sig), by max-subtracted log-sum-exp
-    logw = np.matmul(b_terms["term"], sig_terms["lw"],
-                     out=_scratch("logw", (K, len(taus), K, Q, Q)))
     mx = np.maximum.reduce(logw, axis=0, out=_scratch("grid", logw.shape[1:]))
     np.subtract(logw, mx, out=logw)
     log_den = np.add.reduce(np.exp(logw, out=logw), axis=0, out=_scratch("grid2", mx.shape))
@@ -569,5 +565,5 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
     # written over the spent maximum
     terms = np.matmul(b_terms["num_y"], sig_terms["num_a"], out=mx)
     np.subtract(terms, log_den, out=terms)
-    vals = np.multiply(sig_terms["wgrid"], terms, out=terms).reshape(len(taus), -1).sum(axis=1)
+    vals = np.multiply(wgrid, terms, out=terms).reshape(len(taus), -1).sum(axis=1)
     return float(vals[0]) if xis.ndim == 0 else vals

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import netamp.rs_potential
-from netamp.priors import mmse1, mmse2
+from netamp.priors import joint_atoms, mmse1, mmse2
 from netamp.rs_potential import coincide, minimize, rs_value
 from netamp.state_evolution import fixed_point, predicted_errors
 
@@ -108,3 +108,31 @@ class TestOptimalityCheck:
         assert coincide(fp, ev)
         assert ev.mu_bar == 0.0
         assert fp.mu_star == 0.0
+
+
+# The whole-model I-MMSE identity (Guo, Shamai & Verdu 2005), a second route
+# to the value I* = min F: in y = Phi beta + sqrt(Delta) eps with n = kappa p,
+# dI/d(1/Delta) is kappa/2 times the per-sample mmse of Phi beta, which the
+# SE puts at Delta xi*/(1 + xi*) wherever the fixed point is the minimizer:
+#     dI*/dDelta = -(kappa / (2 Delta)) xi*/(1 + xi*).
+# Over figure1a's 4 x 4 (lam, Delta) grid, central differences of I* at
+# h = 1e-3 Delta met it to a relative 3.6e-7 to 7.3e-7 (0.9e-7 to 3.6e-7 at
+# h / 2, 1.5e-6 to 2.9e-6 at 2 h).  The gap grows as h^2, so it is the
+# difference quotient's truncation error, apart from a part that stays as h
+# shrinks at Delta = 0.5, 2.7e-7 at lam = 0 and 0.8e-7 at lam = 1: the
+# order-41 quadrature error (extrapolated to h = 0 at order 82, below 1e-10).
+I_MMSE_STEP, I_MMSE_RTOL = 1e-3, 1e-6
+
+
+@pytest.mark.parametrize("lam, Delta", [(0.0, 0.5), (0.0, 2.0), (2.0, 0.5), (2.0, 2.0)])
+def test_whole_model_i_mmse(five_atom, lam, Delta):
+    kappa, h = 1.5, I_MMSE_STEP * Delta
+    fp, ev = fixed_point_and_minimizer(five_atom, lam, kappa, Delta)
+    assert coincide(fp, ev)
+    # H(Sigma, B) = h(0.4) + 0.4 ln 5 = 1.3168 nats bounds the information
+    entropy = -sum(w * math.log(w) for _, _, w in joint_atoms(five_atom))
+    assert 0.0 <= ev.value <= entropy
+    slope = (minimize(five_atom, lam, kappa, Delta + h).value
+             - minimize(five_atom, lam, kappa, Delta - h).value) / (2 * h)
+    want = -kappa / (2 * Delta) * fp.xi_star / (1 + fp.xi_star)
+    assert abs(slope - want) <= I_MMSE_RTOL * abs(want)
