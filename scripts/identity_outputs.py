@@ -16,8 +16,10 @@ subdirectory of OUT_DIR:
   2 lambdas at toy n != p, with the ``amp`` pipeline beside its ``fdr``, at
   threads 1, so one draw's runs go 6 wide in lockstep and share one
   ``Phi / sqrt(kappa)`` at kappa != 1;
-- a spec in which ``generate`` raises on one replicate seed, and one in which
-  it raises on the baseline's tuning seed, each at threads 1 and 2;
+- a spec in which ``generate`` raises on one replicate seed, one in which
+  it raises on the baseline's tuning seed, and one in which
+  ``netamp.amp.gaussian_surrogate`` raises on one replicate seed, each at
+  threads 1 and 2;
 - ``dataset_cli``: ``netamp generate`` saves a small dense draw, and
   ``netamp amp-run`` (in both matrix modes, the surrogate one into
   ``surrogate/``) and ``netamp baseline-lap`` run on it, so the saved
@@ -70,21 +72,30 @@ def _all_pipelines(name: str, **kw) -> dict:
     return {**spec, **kw}
 
 
-def cases(workloads) -> list[tuple[str, dict | str, int, int | None]]:
-    """(directory, spec keywords or built-in name, threads, seed at which generate raises)."""
+def cases(workloads) -> list[tuple[str, dict | str, int, tuple[str, int] | None]]:
+    """(directory, spec keywords or built-in name, threads, fault).
+
+    A fault is None or (function, seed): `raising_at` makes that function
+    raise at that seed.
+    """
     out = [(f"{w}_seed{seed}", workloads.spec_kwargs(w, seed, False),
             workloads.WORKLOADS[w]["threads"], None)
            for w in workloads.WORKLOADS for seed in (1, 7)]
-    generate_fails = dict(name="generate_fails", pipelines=("se", "amp", "baseline", "fdr"),
+    generate_fails = dict(name="generate_fails",
+                          pipelines=("se", "amp", "baseline", "fdr", "universality"),
                           n=80, p=80, rho=0.3, b_p=8.0, lambdas=(1.0,),
                           deltas=(0.5, 1.0), replicates=4, T=3)
     tune_fails = dict(generate_fails, name="tune_fails",
                       pipelines=("se", "mi", "amp", "baseline", "fdr"), replicates=2)
+    surrogate_fails = dict(generate_fails, name="surrogate_fails",
+                           pipelines=("amp", "fdr", "universality"))
     for threads in (1, 2):
         out += [(f"smoke_t{threads}", "smoke", threads, None),
                 (f"all_t{threads}", _all_pipelines("all"), threads, None),
-                (f"generate_fails_t{threads}", generate_fails, threads, 1),
-                (f"tune_fails_t{threads}", tune_fails, threads, 2)]
+                (f"generate_fails_t{threads}", generate_fails, threads, ("generate", 1)),
+                (f"tune_fails_t{threads}", tune_fails, threads, ("generate", 2)),
+                (f"surrogate_fails_t{threads}", surrogate_fails, threads,
+                 ("gaussian_surrogate", 2))]
     table1_amp = dict(name="table1_amp", pipelines=("amp", "fdr"), n=240, p=200,
                       rho=0.07, b_p=100.0, lambdas=(5.0, 10.0),
                       deltas=(0.5, 1.05, 1.79, 2.52, 3.26, 4.0), replicates=3)
@@ -235,30 +246,40 @@ def kernels(priors, case_dir: str) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+# the module attribute that each fault patches, and what its error names
+FAULTS = {"generate": ("netamp.experiments", "draw"),
+          "gaussian_surrogate": ("netamp.amp", "surrogate")}
+
+
 @contextlib.contextmanager
-def generate_raising_at(ex, bad_seed: int | None):
-    """Make the harness's ``generate`` raise for one seed.
+def raising_at(fault: tuple[str, int] | None):
+    """Make the function named by fault raise for one seed, its last argument.
 
     Pool workers see the patch because they are forked from this process
     (the default start method on Linux).
     """
-    real = ex.generate
+    if fault is None:
+        yield
+        return
+    name, bad_seed = fault
+    module, what = FAULTS[name]
+    module = sys.modules[module]
+    real = getattr(module, name)
 
-    def generate(params, seed):
-        if seed == bad_seed:
-            raise RuntimeError(f"no draw at seed {seed}")
-        return real(params, seed)
+    def raising(*args):
+        if args[-1] == bad_seed:
+            raise RuntimeError(f"no {what} at seed {bad_seed}")
+        return real(*args)
 
-    if bad_seed is not None:
-        ex.generate = generate
+    setattr(module, name, raising)
     try:
         yield
     finally:
-        ex.generate = real
+        setattr(module, name, real)
 
 
-def run_spec(ex, spec, case_dir: str, threads: int, bad_seed: int | None) -> None:
-    with generate_raising_at(ex, bad_seed):
+def run_spec(ex, spec, case_dir: str, threads: int, fault: tuple[str, int] | None) -> None:
+    with raising_at(fault):
         ex.run_experiment(spec, case_dir, threads=threads, overwrite=True)
 
 
@@ -287,11 +308,11 @@ def main(argv: list[str]) -> int:
         return 2
     os.makedirs(out_dir, exist_ok=True)
     outcomes = []
-    for case, kw, threads, bad_seed in cases(workloads):
+    for case, kw, threads, fault in cases(workloads):
         spec = ex.builtin_spec(kw) if isinstance(kw, str) else ex.ExperimentSpec(**kw)
         print(f"{case}: {spec.name} at threads {threads}", file=sys.stderr)
         outcomes.append((case, outcome(run_spec, ex, spec, os.path.join(out_dir, case),
-                                       threads, bad_seed)))
+                                       threads, fault)))
     print("dataset_cli: generate, amp-run (both modes), baseline-lap", file=sys.stderr)
     outcomes.append(("dataset_cli",
                      outcome(dataset_cli, cli, os.path.join(out_dir, "dataset_cli"))))

@@ -26,9 +26,10 @@ the prior that generated the data, which is what makes them Bayes-optimal,
 and the dimensions, graph SNR and noise level come from ``dataset.params``.
 
 The loop is one generator that yields its products with the graph and the
-design (`_steps`).  `run` drives a single one through `netamp.lockstep`, and
-`run_draw` drives the runs of one draw's noise levels side by side, so each
-round reads S and the graph once for all of them.
+design (`_steps`).  `run_draw` drives the runs of one draw side by side
+through `netamp.lockstep`, one per noise level and matrix mode, so each
+round reads S and each graph once for all of them; `run` is `run_draw` of
+a single run.
 """
 
 from __future__ import annotations
@@ -223,21 +224,22 @@ def run(dataset: Dataset, config: AmpConfig = AmpConfig(),
     params = dataset.params
     if se_trace is None:
         se_trace = se_run(params.prior, params.lam, params.kappa, params.Delta, config.T + 1)
-    S = _scaled_design(dataset, params.kappa)
-    return lockstep([_steps(dataset, config, se_trace, S, _surrogate(dataset))])[0]
+    return run_draw([dataset], [config], [se_trace])[0]
 
 
-def run_draw(datasets: list[Dataset], config: AmpConfig, se_traces: list[SeTrace],
+def run_draw(datasets: list[Dataset], configs: list[AmpConfig], se_traces: list[SeTrace],
              wrap=None) -> list:
     """`run` on datasets of one draw, such as its Deltas, all in lockstep.
 
-    The datasets must share the draw's Phi, sigma0, graph SNR and seed, as
-    `synth.with_delta` makes them, and each runs under its own params and
-    prior with its own trace.  S, and in surrogate mode the draw's Gaussian
-    surrogate, are built once, and each round serves every run's products
-    with the graph, S, S.T and Phi together, so every operator is read once
-    per round instead of once per run.  Each result equals `run`'s on the
-    same inputs bit for bit at one BLAS thread.
+    Run k takes ``datasets[k]``, ``configs[k]`` and ``se_traces[k]``, so a
+    dataset may appear once per matrix mode.  The datasets must share the
+    draw's Phi, sigma0, graph SNR and seed, as `synth.with_delta` makes them,
+    and each runs under its own params and prior.  S, and when a run asks
+    for it the draw's Gaussian surrogate, are built once, and each round
+    serves every run's products with the graph, the surrogate, S, S.T and
+    Phi together, so every operator is read once per round instead of once
+    per run.  Each result equals that of its run alone bit for bit at one
+    BLAS thread.
 
     ``wrap(dataset, gen)``, when given, returns the generator to drive in
     place of a run's own, and its return value becomes that run's result:
@@ -253,7 +255,7 @@ def run_draw(datasets: list[Dataset], config: AmpConfig, se_traces: list[SeTrace
     S = _scaled_design(d0, d0.params.kappa)
     surrogate = _surrogate(d0)
     gens = [_steps(ds, config, trace, S, surrogate)
-            for ds, trace in zip(datasets, se_traces, strict=True)]
+            for ds, config, trace in zip(datasets, configs, se_traces, strict=True)]
     if wrap is not None:
         gens = [wrap(ds, gen) for ds, gen in zip(datasets, gens)]
     return lockstep(gens)

@@ -31,7 +31,7 @@ from argparse import SUPPRESS
 
 from .amp import AmpConfig, run
 from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
-                          ReplicateFailures, _baseline_row, _lap_grid,
+                          ReplicateFailures, _baseline_row, _draw_problems, _lap_grid,
                           _make_params, _note_unconverged_tunes, builtin_spec,
                           check_out_dir, floats, load_spec_file, pipeline_sink,
                           run_experiment)
@@ -164,6 +164,8 @@ def main(argv=None) -> int:
         spec = _spec(ap, args)
         if len(spec.lambdas) > 1 or len(spec.deltas) > 1:
             ap.error("generate draws one dataset: give one --lam and one --Delta")
+        if problems := _draw_problems(spec):
+            ap.error("invalid experiment spec: " + "; ".join(problems))
         _claim(ap, check_out_dir, args.out)
         if not args.overwrite and os.path.exists(os.path.join(args.out, "header.txt")):
             ap.error(f"{args.out} holds a dataset; pass --overwrite to replace it")

@@ -32,7 +32,7 @@ from .laplacian import LapConfig, LapTune, fit, tune
 from .priors import PriorSpec, QuadratureRule
 from .rs_potential import coincide, minimize
 from .state_evolution import fixed_point, predicted_errors, se_run
-from .synth import ModelParams, generate, with_delta
+from .synth import ModelParams, generate, snr_to_ap, with_delta
 
 __all__ = ["ExperimentSpec", "run_experiment", "builtin_spec", "BUILTIN_NAMES",
            "load_spec_file"]
@@ -67,7 +67,7 @@ def _coverage_row(spec, ds, res, trace):
 
 
 def _universality_row(spec, ds, runs, trace):
-    res, sur = runs                 # the sbm-mode and surrogate-mode runs (`_with_surrogate`)
+    res, sur = runs                 # the sbm-mode and surrogate-mode runs (`_paired`)
     o_sbm, o_sur = float(res.overlap[spec.T]), float(sur.overlap[spec.T])
     return {"overlap_sbm": o_sbm, "overlap_surrogate": o_sur, "gap": abs(o_sbm - o_sur)}
 
@@ -109,6 +109,20 @@ VALID_PIPELINES = tuple(_PIPELINES)
 REPLICATE_PIPELINES = tuple(pl for pl, d in _PIPELINES.items() if d.averaged)
 # pipelines that read the one sbm-mode AMP run of their (lambda, Delta, seed)
 AMP_PIPELINES = tuple(pl for pl, d in _PIPELINES.items() if d.amp_row)
+
+
+def _draw_problems(spec: ExperimentSpec) -> list[str]:
+    """What the draws' `_make_params` would reject at spec's nonnegative
+    lambdas, checked by `synth.snr_to_ap`: a b_p outside (0, p), or a lambda
+    too large for it."""
+    problems = []
+    for lam in spec.lambdas:
+        if lam >= 0:
+            try:
+                snr_to_ap(lam, spec.b_p, spec.p)
+            except ValueError as exc:
+                problems.append(f"{exc} at lambda {lam}, b_p {spec.b_p} and p {spec.p}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -156,6 +170,10 @@ class ExperimentSpec:
             problems.append("T must be at least 1")
         if self.design not in ("gaussian", "bernoulli"):
             problems.append(f"unknown design {self.design!r}")
+        if self.kappa_mi is not None and not self.kappa_mi > 0:
+            problems.append("kappa must be positive")
+        if any(pl in REPLICATE_PIPELINES for pl in self.pipelines):
+            problems += _draw_problems(self)
         amp_pls = [pl for pl in self.pipelines if pl in AMP_PIPELINES]
         if self.kappa_mi is not None and amp_pls:
             # their runs see data drawn at n/p, so a trace at kappa_mi would not track them
@@ -177,7 +195,7 @@ class ExperimentSpec:
 # built-in specs
 
 _FIVE = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_FIG2_DELTAS = tuple(np.linspace(0.2, 4.0, 20).round(12))
+_FIG2_DELTAS = tuple(np.linspace(0.2, 4.0, 20).round(12).tolist())
 
 _BUILTIN_SPECS = {
     "smoke": ExperimentSpec(
@@ -309,8 +327,8 @@ class CsvSink:
 
     @staticmethod
     def _fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
         return str(v)
 
     def write(self):
@@ -380,13 +398,22 @@ def _isolated(ds, gen):
         return _failure(exc)
 
 
+def _paired(sbm, surrogate) -> tuple[str, object]:
+    """A universality unit's outcome: the sbm run's error, else the surrogate
+    run's, else ("ok", (sbm result, surrogate result))."""
+    for outcome in (sbm, surrogate):
+        if outcome[0] == "err":
+            return outcome
+    return ("ok", (sbm[1], surrogate[1]))
+
+
 def _replicate_job(args) -> dict:
     """Every (pipeline, Delta) unit of one (lambda, seed).
 
     One draw at the first Delta, re-noised for each other Delta, and one
-    sbm-mode run per Delta shared by the AMP pipelines; the runs of all
-    Deltas go in lockstep through `run_draw`, and so do the universality
-    pipeline's surrogate-mode runs (`_with_surrogate`).  Returns {(pipeline, Delta):
+    sbm-mode run per Delta shared by the AMP pipelines; with the universality
+    pipeline, one surrogate-mode run per Delta too.  All of them go in
+    lockstep through one `run_draw` call.  Returns {(pipeline, Delta):
     ("ok", row) | ("err", message)}; a failed draw or run is reported on
     every unit that needed it.  ``cfgs`` maps Delta to the tuned baseline
     config, or to None where tuning failed.
@@ -411,37 +438,19 @@ def _replicate_job(args) -> dict:
             units[("baseline", delta)] = _attempt(_baseline_row, ds, cfgs[delta])
     if not amp_pls:
         return units
-    datasets, draw_traces = list(draws.values()), [traces[delta] for delta in draws]
-    ran = run_draw(datasets, AmpConfig(T=spec.T, record_history=False), draw_traces,
-                   wrap=_isolated)
-    outcomes = {pl: ran for pl in amp_pls}
-    if "universality" in amp_pls:
-        outcomes["universality"] = _with_surrogate(spec, datasets, draw_traces, ran)
+    modes = ["sbm", "gaussian-surrogate"] if "universality" in amp_pls else ["sbm"]
+    ran = run_draw([*draws.values()] * len(modes),
+                   [AmpConfig(T=spec.T, matrix_mode=mode, record_history=False)
+                    for mode in modes for _ in draws],
+                   [traces[delta] for delta in draws] * len(modes), wrap=_isolated)
     for k, (delta, ds) in enumerate(draws.items()):
         for pl in amp_pls:
-            outcome = outcomes[pl][k]
+            outcome = (_paired(ran[k], ran[len(draws) + k]) if pl == "universality"
+                       else ran[k])
             units[(pl, delta)] = (outcome if outcome[0] == "err" else
                                   _attempt(_PIPELINES[pl].amp_row, spec, ds, outcome[1],
                                            traces[delta]))
     return units
-
-
-def _with_surrogate(spec, datasets, traces, ran) -> list:
-    """Each sbm-mode outcome of `ran` paired with its surrogate-mode run.
-
-    ``("ok", (sbm result, surrogate result))``, or the error of whichever
-    run failed first.  The surrogate runs of the draws whose sbm run
-    succeeded go in lockstep through `run_draw`, which builds the draw's
-    surrogate once for all of them.
-    """
-    ok = [k for k, outcome in enumerate(ran) if outcome[0] == "ok"]
-    sur = run_draw([datasets[k] for k in ok],
-                   AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate", record_history=False),
-                   [traces[k] for k in ok], wrap=_isolated)
-    paired = list(ran)
-    for k, outcome in zip(ok, sur):
-        paired[k] = outcome if outcome[0] == "err" else ("ok", (ran[k][1], outcome[1]))
-    return paired
 
 
 def _tune_job(args) -> LapTune:

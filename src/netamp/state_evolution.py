@@ -70,12 +70,19 @@ class SeFixedPoint:
     converged: bool
 
 
+def _check_model(lam: float, kappa: float, Delta: float) -> None:
+    if not (Delta > 0 and kappa > 0 and lam >= 0):
+        raise ValueError(f"need Delta > 0, kappa > 0 and lam >= 0, "
+                         f"not Delta = {Delta}, kappa = {kappa}, lam = {lam}")
+
+
 def se_run(prior: PriorSpec, lam: float, kappa: float, Delta: float, T: int,
            quad: QuadratureRule = DEFAULT_QUAD) -> SeTrace:
     """Run T state-evolution steps; returns channel parameters for t = 0..T.
 
     The start is uninformative: (eta_0, nu_0) = (0, 0).
     """
+    _check_model(lam, kappa, Delta)
     if T < 1:
         raise ValueError("T must be at least 1")
     eta = np.zeros(T + 1)
@@ -111,8 +118,7 @@ def fixed_point(prior: PriorSpec, lam: float, kappa: float, Delta: float,
     "informative" begins at (lam * rho, 0), the perfect-recovery corner,
     exposing any other stable solution of the system.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_model(lam, kappa, Delta)
     if start == "uninformative":
         mu, xi = 0.0, prior.second_moment_b() / Delta
     elif start == "informative":

@@ -141,8 +141,9 @@ class TestAgainstReference:
     def test_outputs_equal_loop_reference(self, n, matrix_mode, record_history, monkeypatch):
         """Every output array equals the plain loop's bit for bit, at kappa = 1
         (no copy of Phi) and kappa = 1.2: a run alone, and each run of one
-        draw's three Deltas in lockstep.  The lockstep runs share 8-row slabs
-        of S and Phi, with a 2- or 4-wide tail, and one graph block product."""
+        draw's three Deltas in both matrix modes in one lockstep.  The six
+        lockstep runs share 8-row slabs of S, Phi and the surrogate, with a 2-
+        or 4-wide tail, and one graph block product."""
         prior = spike_slab(0.6, [-1.0, 1.0])
         params = ModelParams.from_snr(n=n, p=50, Delta=0.8, b_p=8.0, lam=2.0,
                                       prior=prior)
@@ -157,10 +158,15 @@ class TestAgainstReference:
         monkeypatch.setattr(netamp.lockstep, "SLAB", 8)
         draws = [ds, with_delta(ds, 0.3), with_delta(ds, 2.5)]
         traces = [se_run(prior, 2.0, params.kappa, d.params.Delta, T=9) for d in draws]
-        for got, d, tr in zip(run_draw(draws, config, traces), draws, traces):
-            ref = loop_reference_run(d, prior, d.params, config, tr)
+        # this parameter's mode first, so the two parameters take both orders
+        modes = sorted(("sbm", "gaussian-surrogate"), key=lambda m: m != matrix_mode)
+        configs = [dataclasses.replace(config, matrix_mode=mode) for mode in modes for _ in draws]
+        got = run_draw(draws * 2, configs, traces * 2)
+        assert len(got) == 6
+        for res, d, cfg, tr in zip(got, draws * 2, configs, traces * 2):
+            ref = loop_reference_run(d, prior, d.params, cfg, tr)
             for name, want in ref.items():
-                assert np.array_equal(getattr(got, name), want, equal_nan=True), name
+                assert np.array_equal(getattr(res, name), want, equal_nan=True), name
 
     def test_first_iterate_structure(self, small_setup):
         """From the prior-mean start the first sigma step is the constant-

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import time
 
@@ -140,6 +141,14 @@ class TestSmokeSpec:
                                "universality"]
 
 
+def _shrunk(spec: ExperimentSpec) -> ExperimentSpec:
+    """spec at toy n = p = 60, T 3 and 2 replicates, with b_p scaled to p, its
+    first lambda and its first two Deltas, their types kept."""
+    return dataclasses.replace(spec, n=60, p=60, b_p=spec.b_p * 60 / spec.p, T=3,
+                               replicates=2, lambdas=spec.lambdas[:1],
+                               deltas=spec.deltas[:2])
+
+
 class TestSpecs:
     def test_builtin_names_complete(self):
         for name in BUILTIN_NAMES:
@@ -149,6 +158,18 @@ class TestSpecs:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown built-in"):
             builtin_spec("nope")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_csvs_hold_numbers(self, tmp_path, name):
+        """Every body cell of a built-in spec's CSVs is a number or empty, apart
+        from the row labels, and the spec echo holds no numpy repr."""
+        for pl, path in run_experiment(_shrunk(builtin_spec(name)), str(tmp_path)).items():
+            meta, _, rows = read_csv(path)
+            assert "np." not in meta["spec"], pl
+            for row in rows:
+                for cell in row:
+                    if cell not in ("", "mean", "stderr", "fixed_point"):
+                        float(cell)
 
     def test_invalid_pipeline_listed(self):
         with pytest.raises(ValueError, match="unknown pipelines"):
@@ -190,6 +211,30 @@ class TestSpecs:
         for frag in ("unknown pipelines", "replicates", "nonempty", "rho",
                      "alpha", "T must", "design"):
             assert frag in msg
+        # the model checks: kappa, and b_p at each lambda of a spec that draws data
+        with pytest.raises(ValueError) as ei:
+            ExperimentSpec(name="x", pipelines=("bogus", "fdr"), replicates=0,
+                           deltas=(), rho=1.5, alpha=2.0, T=0, design="nope",
+                           kappa_mi=0.0, b_p=0.0, lambdas=(0.0, 3.0))
+        msg = str(ei.value)
+        for frag in ("unknown pipelines", "replicates", "nonempty", "rho",
+                     "alpha", "T must", "design", "kappa must be positive",
+                     "need 0 < b_p < p at lambda 0.0, b_p 0.0 and p 2000",
+                     "need 0 < b_p < p at lambda 3.0", "kappa_mi applies"):
+            assert frag in msg
+
+    @pytest.mark.parametrize("pipelines", [("amp",), ("baseline",), ("se", "coverage")])
+    def test_lambda_the_draw_rejects(self, pipelines):
+        """A spec that draws data is checked at each lambda as its draws would be."""
+        with pytest.raises(ValueError, match="invalid experiment spec: supercritical SNR "
+                                             "for given sparsity at lambda 40.0, b_p 30.0"):
+            ExperimentSpec(name="x", pipelines=pipelines, n=50, p=50, b_p=30.0,
+                           lambdas=(1.0, 40.0))
+
+    def test_scalar_pipelines_draw_nothing(self):
+        spec = ExperimentSpec(name="x", pipelines=("se", "mi"), n=50, p=50, b_p=30.0,
+                              lambdas=(40.0,))
+        assert spec.lambdas == (40.0,)
 
     def test_replicate_failures_recorded_and_fatal_above_threshold(self, tmp_path, monkeypatch):
         import netamp.experiments as ex
@@ -281,6 +326,61 @@ class TestSpecs:
                 want = _PIPELINES[pl].amp_row(spec, ds, alone, trace)
                 row = dict(zip(header, got[(repr(delta), "1")]))
                 assert all(row[c] == ex.CsvSink._fmt(v) for c, v in want.items())
+
+    def test_universality_under_failures(self, tmp_path, monkeypatch):
+        """Each draw's sbm and surrogate-mode runs share one lockstep.  A surrogate
+        that cannot be built fails only its seed's universality units; a Delta
+        whose runs fail mid-lockstep fails its unit once in each pipeline, with
+        the sbm run's error where both runs fail; and every other row is that
+        of the runs alone."""
+        import netamp.amp
+        import netamp.experiments as ex
+        from netamp.synth import generate, with_delta
+
+        real_surrogate, real_isolated = netamp.amp.gaussian_surrogate, ex._isolated
+
+        def surrogate(sigma0, lam, seed):
+            if seed == 2:
+                raise RuntimeError("no surrogate")
+            return real_surrogate(sigma0, lam, seed)
+
+        def flaky_run(ds, gen):
+            # at seed 2 the surrogate run raises its own error before 5 requests
+            if ds.seed in (1, 2) and ds.params.Delta == 1.0:
+                gen = failing_after(gen, 5, RuntimeError("mid-lockstep"))
+            return real_isolated(ds, gen)
+
+        monkeypatch.setattr(netamp.amp, "gaussian_surrogate", surrogate)
+        monkeypatch.setattr(ex, "_isolated", flaky_run)
+        spec = ExperimentSpec(name="univ", pipelines=("amp", "universality"), n=70, p=60,
+                              rho=0.3, b_p=6.0, lambdas=(1.0,), deltas=(0.5, 1.0),
+                              replicates=4, T=3)
+        with pytest.raises(ex.ReplicateFailures, match="5 of 16"):
+            ex.run_experiment(spec, str(tmp_path))
+        mid, no_surrogate = "RuntimeError: mid-lockstep", "RuntimeError: no surrogate"
+        expected = ";".join([f"1:{mid}", f"2:{mid}",                           # amp
+                             f"2:{no_surrogate}", f"1:{mid}", f"2:{mid}"])     # universality
+        quad = QuadratureRule.gauss_hermite(spec.quad_order)
+        for pl in spec.pipelines:
+            meta, header, rows = read_csv(tmp_path / f"univ_{pl}.csv")
+            assert meta["failed_replicates"] == expected
+            got = {(r[1], r[2]): dict(zip(header, r)) for r in rows
+                   if r[2] not in ("mean", "stderr")}
+            failed = {("1.0", "1"), ("1.0", "2")} | ({("0.5", "2")}
+                                                     if pl == "universality" else set())
+            assert set(got) == {(repr(d), str(s)) for d in spec.deltas
+                                for s in range(4)} - failed
+            for (delta, seed), row in got.items():
+                ds = generate(ex._make_params(spec, 1.0, 0.5), int(seed))
+                ds = ds if delta == "0.5" else with_delta(ds, float(delta))
+                trace = se_run(spec.prior(), 1.0, spec.kappa(), float(delta),
+                               T=spec.T + 1, quad=quad)
+                alone = run(ds, AmpConfig(T=spec.T, record_history=False), se_trace=trace)
+                if pl == "universality":
+                    alone = (alone, run(ds, AmpConfig(T=spec.T, matrix_mode="gaussian-surrogate",
+                                                      record_history=False), se_trace=trace))
+                want = _PIPELINES[pl].amp_row(spec, ds, alone, trace)
+                assert all(row[c] == CsvSink._fmt(v) for c, v in want.items())
 
     def test_failed_tune_raises_at_the_baseline_csv(self, tmp_path, monkeypatch):
         import netamp.experiments as ex
@@ -455,6 +555,29 @@ class TestCli:
             assert problem in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["se-solve", "--kappa", "0"], "kappa must be positive"),
+        (["mi-curve", "--kappa", "-1"], "kappa must be positive"),
+        (["fdr-sim", "--b-p", "0"], "need 0 < b_p < p at lambda 3.0, b_p 0.0 and p 2000"),
+        (["fdr-sim", "--n", "50", "--p", "50", "--b-p", "30", "--lam", "40"],
+         "supercritical SNR for given sparsity at lambda 40.0, b_p 30.0 and p 50"),
+        (["generate", "--b-p", "0"], "need 0 < b_p < p at lambda 3.0, b_p 0.0 and p 2000")],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_unsolvable_model_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv,
+                                               problem):
+        """A model that the state evolution or the draws would reject stops the
+        CLI before any work, with exit status 2."""
+        for name in ("experiments.se_run", "experiments.generate", "experiments.fixed_point",
+                     "experiments.minimize", "cli.generate"):
+            monkeypatch.setattr(f"netamp.{name}", self._unreachable)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid experiment spec: {problem}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_se_solve_and_mi_curve(self, tmp_path):
         out = str(tmp_path / "cli")

@@ -136,3 +136,34 @@ def test_whole_model_i_mmse(five_atom, lam, Delta):
              - minimize(five_atom, lam, kappa, Delta - h).value) / (2 * h)
     want = -kappa / (2 * Delta) * fp.xi_star / (1 + fp.xi_star)
     assert abs(slope - want) <= I_MMSE_RTOL * abs(want)
+
+
+# The same identity integrated along the fixed points: a route to I* that
+# reads the potential's value at one end only,
+#     I*(Delta_lo) = I*(Delta_hi) + int (kappa / (2 D)) xi*(D)/(1 + xi*(D)) dD,
+# which holds where the fixed point is the minimizer along the whole path, so
+# both starts of `fixed_point` must meet at every node.  With INTEGRAL_NODES
+# Gauss-Legendre nodes in log D over [0.5, 4] at figure1a's prior, it met
+# `minimize(...).value` to a relative 7.8e-9 at lam = 0 (7.8e-9 to 7.9e-9 at
+# 8 to 32 nodes) and 3.3e-11 at lam = 2 (3.3e-11 to 5.7e-11): at lam = 0 the
+# gap is the order-41 quadrature error, 3.8e-10 at order 61 and 7e-12 at 82.
+INTEGRAL_NODES, INTEGRAL_RTOL = 16, 2e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_mi_integral_route(five_atom, lam):
+    kappa, lo, hi = 1.5, 0.5, 4.0
+    x, w = np.polynomial.legendre.leggauss(INTEGRAL_NODES)
+    half = 0.5 * math.log(hi / lo)
+    integral = 0.0
+    for node, weight in zip(x, w):
+        D = math.sqrt(lo * hi) * math.exp(half * node)
+        fp = fixed_point(five_atom, lam, kappa, D)
+        other = fixed_point(five_atom, lam, kappa, D, start="informative")
+        assert abs(fp.mu_star - other.mu_star) <= 1e-4
+        assert abs(fp.xi_star - other.xi_star) <= 1e-4
+        # dD = D du in u = log D
+        integral += half * weight * kappa / 2 * fp.xi_star / (1 + fp.xi_star)
+    want = minimize(five_atom, lam, kappa, lo).value
+    got = minimize(five_atom, lam, kappa, hi).value + integral
+    assert abs(got - want) <= INTEGRAL_RTOL * abs(want)

@@ -91,6 +91,18 @@ class TestFixedPoint:
         assert abs(a.xi_star - b.xi_star) <= 1e-7
 
 
+@pytest.mark.parametrize("lam, kappa, Delta", [
+    (1.0, 1.0, 0.0), (1.0, 1.0, -0.5), (1.0, 0.0, 1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, 1.0)])
+def test_invalid_model_rejected(pm7, lam, kappa, Delta):
+    """se_run and fixed_point name the model they cannot solve, with one error."""
+    for solve in (lambda: se_run(pm7, lam, kappa, Delta, T=3),
+                  lambda: fixed_point(pm7, lam, kappa, Delta)):
+        with pytest.raises(ValueError, match=r"need Delta > 0, kappa > 0 and lam >= 0, "
+                                             rf"not Delta = {Delta}, kappa = {kappa}, "
+                                             rf"lam = {lam}"):
+            solve()
+
+
 class TestPredictedErrors:
     def test_perfect_recovery(self, pm7):
         fp = SeFixedPoint(mu_star=3.0 * pm7.rho, xi_star=0.3, iterations=1,
