@@ -16,6 +16,11 @@ subdirectory of OUT_DIR:
   2 lambdas at toy n != p, with the ``amp`` pipeline beside its ``fdr``, at
   threads 1, so one draw's runs go 6 wide in lockstep and share one
   ``Phi / sqrt(kappa)`` at kappa != 1;
+- ``odd_p149``, ``odd_p150``, ``odd_p151``: the all-pipeline spec at
+  n = 157 (157 % 8 = 5) and p = 149, 150, 151 (p % 4 = 1, 2, 3), at
+  threads 1, so the design's row slabs end in a partial slab and the last
+  ``p % 4`` entries of ``S.T @ z``, which AMP's one-pass residual products
+  compute apart (see ``netamp.lockstep``), reach the comparison;
 - a spec in which ``generate`` raises on one replicate seed, one in which
   it raises on the baseline's tuning seed, and one in which
   ``netamp.amp.gaussian_surrogate`` raises on one replicate seed, each at
@@ -103,6 +108,8 @@ def cases(workloads) -> list[tuple[str, dict | str, int, tuple[str, int] | None]
             ("bernoulli", _all_pipelines("bernoulli", design="bernoulli"), 1, None),
             ("figure1a", "figure1a", 1, None),
             ("table1_amp", table1_amp, 1, None)]
+    out += [(f"odd_p{p}", _all_pipelines(f"odd_p{p}", n=157, p=p), 1, None)
+            for p in (149, 150, 151)]
     return out
 
 

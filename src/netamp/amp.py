@@ -26,10 +26,12 @@ the prior that generated the data, which is what makes them Bayes-optimal,
 and the dimensions, graph SNR and noise level come from ``dataset.params``.
 
 The loop is one generator that yields its products with the graph and the
-design (`_steps`).  `run_draw` drives the runs of one draw side by side
-through `netamp.lockstep`, one per noise level and matrix mode, so each
-round reads S and each graph once for all of them; `run` is `run_draw` of
-a single run.
+design (`_steps`).  The residual z^t and S^T z^t come from one residual
+request, which reads S once per iteration where the two products read it
+twice; it keeps their bits (see `netamp.lockstep`).  `run_draw` drives the
+runs of one draw side by side through `netamp.lockstep`, one per noise
+level and matrix mode, so each round reads S and each graph once for all
+of them; `run` is `run_draw` of a single run.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import DimensionMismatch, DivergedIteration
 from .priors import PriorSpec, ScalarChannelParams, _posterior_moments
 from .state_evolution import SeTrace, se_run
-from .lockstep import lockstep
+from .lockstep import RESIDUAL, lockstep
 from .synth import Dataset, centered_product, gaussian_surrogate
 
 __all__ = ["AmpConfig", "AmpResult", "run", "run_draw"]
@@ -132,12 +134,15 @@ def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray
            surrogate):
     """The iteration as a generator of product requests; returns the AmpResult.
 
-    Yields ``(A, transpose, v)`` for each product with the graph, with S and
-    S.T, and with Phi for the recorded prediction error, and expects
-    ``A.T @ v`` or ``A @ v`` back (see `netamp.lockstep`).  The posterior
-    moments it keeps are fresh arrays, not the kernels' workspace, so other
-    runs may use the kernels while this one waits at a yield.  In surrogate
-    mode the graph is ``surrogate()`` (see `_surrogate`).
+    Yields ``(A, transpose, v)`` for each product with the graph and with
+    Phi for the recorded prediction error, and expects ``A.T @ v`` or
+    ``A @ v`` back; for the residual it yields ``(S, RESIDUAL, (beta, y0,
+    (omega / kappa) * z_prev))`` and gets ``(z, S.T @ z)`` back, where
+    ``z = (y0 - S @ beta) + (omega / kappa) * z_prev`` (see
+    `netamp.lockstep`).  The posterior moments it keeps are fresh arrays,
+    not the kernels' workspace, so other runs may use the kernels while
+    this one waits at a yield.  In surrogate mode the graph is
+    ``surrogate()`` (see `_surrogate`).
     """
     params = dataset.params
     prior = params.prior
@@ -188,10 +193,10 @@ def _steps(dataset: Dataset, config: AmpConfig, se_trace: SeTrace, S: np.ndarray
         sigma_next = (yield from apply_graph(r)) / math.sqrt(p) - df_mean * r_prev
         _check_finite("sigma", sigma_next, t)
 
-        z = y0 - (yield S, False, beta) + (omega / kappa) * z_prev
+        z, st_z = yield S, RESIDUAL, (beta, y0, (omega / kappa) * z_prev)
         _check_finite("z", z, t)
 
-        b = (yield S, True, z) + beta
+        b = st_z + beta
         ch_z = _beta_channel(se_trace, t)
         # omega is the Onsager mean of the map that made beta^{t+1}: step t+1 needs it
         beta_next, omega = _zeta_and_partial(b, sigma_next, ch_z, prior)
@@ -236,10 +241,10 @@ def run_draw(datasets: list[Dataset], configs: list[AmpConfig], se_traces: list[
     draw's Phi, sigma0, graph SNR and seed, as `synth.with_delta` makes them,
     and each runs under its own params and prior.  S, and when a run asks
     for it the draw's Gaussian surrogate, are built once, and each round
-    serves every run's products with the graph, the surrogate, S, S.T and
-    Phi together, so every operator is read once per round instead of once
-    per run.  Each result equals that of its run alone bit for bit at one
-    BLAS thread.
+    serves every run's products with the graph, the surrogate, S (the
+    residual and its product with S.T in one pass) and Phi together, so
+    every operator is read once per round instead of once per run.  Each
+    result equals that of its run alone bit for bit at one BLAS thread.
 
     ``wrap(dataset, gen)``, when given, returns the generator to drive in
     place of a run's own, and its return value becomes that run's result:

@@ -36,7 +36,7 @@ from .experiments import (BUILTIN_NAMES, CsvSink, ExperimentSpec,
                           check_out_dir, floats, load_spec_file, pipeline_sink,
                           run_experiment)
 from .laplacian import tune
-from .priors import DEFAULT_QUAD, QuadratureRule
+from .priors import DEFAULT_QUAD, MIN_QUAD_ORDER, QuadratureRule
 from .state_evolution import se_run
 from .synth import Dataset, generate, load_dataset, save_dataset
 
@@ -176,6 +176,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "amp-run":
+        if args.quad_order < MIN_QUAD_ORDER:
+            ap.error(f"quadrature order must be at least {MIN_QUAD_ORDER}")
+        try:
+            config = AmpConfig(T=args.T, matrix_mode=args.matrix_mode)
+        except ValueError as exc:
+            ap.error(str(exc))
         ds = _load(ap, args.data)
         sink = _claim(ap, CsvSink, f"{args.out}/amp_run.csv",
                       ["t", "overlap", "mse_beta", "pred_error",
@@ -183,7 +189,7 @@ def main(argv=None) -> int:
                       {"data": args.data, "T": args.T}, args.overwrite)
         trace = se_run(ds.params.prior, ds.params.lam, ds.params.kappa, ds.params.Delta,
                        T=args.T + 1, quad=QuadratureRule.gauss_hermite(args.quad_order))
-        res = run(ds, AmpConfig(T=args.T, matrix_mode=args.matrix_mode), se_trace=trace)
+        res = run(ds, config, se_trace=trace)
         for t in range(args.T + 1):
             xi_t = float(trace.xi[t])
             sink.add(t=t, overlap=float(res.overlap[t]),

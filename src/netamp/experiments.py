@@ -29,7 +29,7 @@ from . import __version__
 from .amp import AmpConfig, run, run_draw  # noqa: F401  (bench/tracing.py wraps run)
 from .inference import credible_intervals, discover, mse_beta, pvalues
 from .laplacian import LapConfig, LapTune, fit, tune
-from .priors import PriorSpec, QuadratureRule
+from .priors import MIN_QUAD_ORDER, PriorSpec, QuadratureRule
 from .rs_potential import coincide, minimize
 from .state_evolution import fixed_point, predicted_errors, se_run
 from .synth import ModelParams, generate, snr_to_ap, with_delta
@@ -168,6 +168,8 @@ class ExperimentSpec:
             problems.append("alpha must be in (0, 1)")
         if self.T < 1:
             problems.append("T must be at least 1")
+        if self.quad_order < MIN_QUAD_ORDER:
+            problems.append(f"quadrature order must be at least {MIN_QUAD_ORDER}")
         if self.design not in ("gaussian", "bernoulli"):
             problems.append(f"unknown design {self.design!r}")
         if self.kappa_mi is not None and not self.kappa_mi > 0:

@@ -163,6 +163,8 @@ class QuadratureRule:
 
 
 DEFAULT_QUAD = QuadratureRule.gauss_hermite(41)
+# the lowest order the scalar-channel kernels (`mmse_pair`, `scalar_mi`) accept
+MIN_QUAD_ORDER = 21
 
 
 def joint_atoms(prior: PriorSpec) -> list[tuple[int, float, float]]:
@@ -416,8 +418,8 @@ def _mu_xi_channels(mu: float, xi: float, Delta: float, kappa: float):
 def mmse_pair(mu: float, xi: float, prior: PriorSpec, Delta: float, kappa: float,
               quad: QuadratureRule = DEFAULT_QUAD) -> tuple[float, float]:
     """(mmse1, mmse2) at one point, from a single quadrature pass."""
-    if quad.order < 21:
-        raise ValueError("quadrature order must be at least 21")
+    if quad.order < MIN_QUAD_ORDER:
+        raise ValueError(f"quadrature order must be at least {MIN_QUAD_ORDER}")
     eta, nu, tau = _mu_xi_channels(mu, xi, Delta, kappa)
     return _mmse_channels(prior, eta, nu, tau, quad)
 
@@ -545,8 +547,8 @@ def scalar_mi(mu: float, xi, prior: PriorSpec, Delta: float, kappa: float,
     array lives in the workspace (see `_scratch`); keep batches small
     (`rs_potential` uses 10 at order 21, about 1.3 MB for six atoms).
     """
-    if quad.order < 21:
-        raise ValueError("quadrature order must be at least 21")
+    if quad.order < MIN_QUAD_ORDER:
+        raise ValueError(f"quadrature order must be at least {MIN_QUAD_ORDER}")
     xis = np.asarray(xi, dtype=float)
     if xis.ndim > 1:
         raise ValueError("xi must be a float or a 1-D array")

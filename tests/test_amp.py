@@ -7,7 +7,8 @@ import pytest
 import netamp.lockstep
 from netamp.amp import (AmpConfig, _beta_channel, _channel, _f_and_partial,
                         _zeta_and_partial, run, run_draw)
-from netamp.errors import DimensionMismatch
+from netamp.errors import DimensionMismatch, DivergedIteration
+from netamp.experiments import _isolated
 from netamp.priors import ScalarChannelParams, denoise_beta, denoise_sigma, spike_slab
 from netamp.state_evolution import fixed_point, se_run
 from netamp.synth import (ModelParams, centered_adjacency_apply,
@@ -208,6 +209,29 @@ class TestBehavior:
                                    prior=prior)
         with pytest.raises(DimensionMismatch):
             run(dataclasses.replace(ds, params=bad), AmpConfig(T=2))
+
+    def test_non_finite_residual_fails_only_its_run(self, small_setup):
+        """A y holding an inf makes the residual z non-finite: that run raises
+        DivergedIteration at iteration 0, alone and in a draw's lockstep, where
+        the harness's `_isolated` contains it and the other runs equal their
+        solo results."""
+        prior, params, ds, trace = small_setup
+        y = ds.y.copy()
+        y[7] = np.inf
+        bad = dataclasses.replace(ds, y=y)
+        config = AmpConfig(T=4)
+        with pytest.raises(DivergedIteration, match=r"^z contains NaN/Inf at iteration 0$"):
+            run(bad, config, se_trace=trace)
+        draws = [ds, bad, with_delta(ds, 2.5)]
+        traces = [trace, trace, se_run(prior, 2.0, params.kappa, 2.5, T=6)]
+        got = run_draw(draws, [config] * 3, traces, wrap=_isolated)
+        assert got[1] == ("err", "DivergedIteration: z contains NaN/Inf at iteration 0")
+        for (status, res), d, tr in zip(got[::2], draws[::2], traces[::2]):
+            assert status == "ok"
+            solo = run(d, config, se_trace=tr)
+            for name in ("sigma_iter", "sigma_hat", "beta_hat", "z", "overlap",
+                         "mse_beta", "pred_error"):
+                assert np.array_equal(getattr(res, name), getattr(solo, name)), name
 
     def test_record_history_flag(self, small_setup):
         prior, params, ds, trace = small_setup

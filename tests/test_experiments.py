@@ -562,7 +562,10 @@ class TestCli:
         (["fdr-sim", "--b-p", "0"], "need 0 < b_p < p at lambda 3.0, b_p 0.0 and p 2000"),
         (["fdr-sim", "--n", "50", "--p", "50", "--b-p", "30", "--lam", "40"],
          "supercritical SNR for given sparsity at lambda 40.0, b_p 30.0 and p 50"),
-        (["generate", "--b-p", "0"], "need 0 < b_p < p at lambda 3.0, b_p 0.0 and p 2000")],
+        (["generate", "--b-p", "0"], "need 0 < b_p < p at lambda 3.0, b_p 0.0 and p 2000"),
+        *((argv + ["--quad-order", order], "quadrature order must be at least 21")
+          for argv in (["se-solve"], ["mi-curve"], ["experiment", "smoke"])
+          for order in ("5", "0"))],
         ids=lambda v: "-".join(v) if isinstance(v, list) else None)
     def test_unsolvable_model_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv,
                                                problem):
@@ -577,6 +580,25 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"invalid experiment spec: {problem}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--quad-order", "5"], "quadrature order must be at least 21"),
+        (["--quad-order", "0"], "quadrature order must be at least 21"),
+        (["--T", "0"], "T must be at least 1")],
+        ids=lambda v: "".join(v) if isinstance(v, list) else None)
+    def test_amp_run_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        flags, problem):
+        """amp-run checks its --quad-order and --T before it loads the data,
+        computes or writes anything, with exit status 2."""
+        for name in ("load_dataset", "se_run", "run"):
+            monkeypatch.setattr(f"netamp.cli.{name}", self._unreachable)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["amp-run", "--data", str(tmp_path / "ds"), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
         assert not out.exists()
 
     def test_se_solve_and_mi_curve(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netamp.lockstep
-from netamp.lockstep import lockstep, products, slab_bounds
+from netamp.lockstep import RESIDUAL, SLAB, lockstep, products, slab_bounds
 from netamp.priors import spike_slab
 from netamp.synth import ModelParams, generate
 
@@ -28,6 +28,11 @@ class TestSlabs:
             assert max(widths) <= 9
             assert size == 1 or min(widths) > 1
 
+    def test_slab_height_is_a_multiple_of_4(self):
+        """Residual requests keep the bits of A.T @ r only with slab heights
+        that are multiples of 4 (see `lockstep._residuals`)."""
+        assert SLAB % 4 == 0
+
 
 class TestProducts:
     def test_design_slabs_equal_full_products(self, draw, rng, monkeypatch):
@@ -40,6 +45,34 @@ class TestProducts:
             assert np.array_equal(g, Phi @ v)
         for g, r in zip(got[3:], rs):
             assert np.array_equal(g, Phi.T @ r)
+
+    @pytest.mark.parametrize("slab", [8, 64])
+    def test_residual_requests_equal_two_products(self, rng, monkeypatch, slab):
+        """A residual request gets (r, A.T @ r), r = (y - A @ v) + w, with the
+        bits of the two products computed apart: at every row count mod 8
+        (n < 8 and a 1-wide tail included), at widths of every residue mod 4
+        (the last p % 4 entries of A.T @ r are summed apart), and with one to
+        three residual requests beside two plain ones of each side on the same
+        operator.  The largest n * p, 121 * 75, stays below OpenBLAS's
+        single-thread cutoff, so the reference products have the same bits at
+        any BLAS thread count."""
+        monkeypatch.setattr(netamp.lockstep, "SLAB", slab)
+        for n in [*range(1, 18), 65, 70, 121]:
+            for p in (1, 2, 3, 72, 73, 74, 75):
+                A = rng.normal(size=(n, p))
+                for count in (1, 2, 3):
+                    args = [(rng.normal(size=p), rng.normal(size=n), rng.normal(size=n))
+                            for _ in range(count)]
+                    vs = [rng.normal(size=p) for _ in range(2)]
+                    us = [rng.normal(size=n) for _ in range(2)]
+                    got = products([(A, RESIDUAL, a) for a in args]
+                                   + [(A, False, v) for v in vs] + [(A, True, u) for u in us])
+                    for (r, st_r), (v, y, w) in zip(got, args):
+                        want = (y - A @ v) + w
+                        assert np.array_equal(r, want), (n, p, count)
+                        assert np.array_equal(st_r, A.T @ want), (n, p, count)
+                    for g, want in zip(got[count:], [A @ v for v in vs] + [A.T @ u for u in us]):
+                        assert np.array_equal(g, want), (n, p, count)
 
     def test_graph_block_columns_equal_matvecs(self, draw, rng):
         A = draw.adjacency
